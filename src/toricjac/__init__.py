@@ -8,16 +8,14 @@ maximal rank g.
 
 from .errors import InputError, InternalError
 from .fan import (Fan, build_hirzebruch, build_p2, builtin_surface,
-                  fan_from_json, irrelevant_generators,
-                  self_intersection_numbers, validate)
+                  fan_from_json, validate)
 from .divisors import (TorusDivisor, PicClass, LatticePolytope,
                        canonical_divisor, divisor_from_labels,
                        euler_characteristic, genus, h0, intersect, is_ample,
                        pic_class, polytope, principal_divisor, ray_divisor,
                        representative)
-from .cox import (CoxPolynomial, EulerWeights, check_euler, euler_weights,
-                  monomial_basis, multidegree, poly_from_json, poly_from_text,
-                  weights_from_labels)
+from .cox import (CoxPolynomial, monomial_basis, multidegree, poly_from_json,
+                  poly_from_text)
 from .jacobian import GradedSubspace, JacobianSystem, NondegeneracyVerdict
 from .criterion import (DEFAULT_SEED, CriterionReport, DeformationSearch,
                         evaluate, find_rank_g_deformation, quick_criterion,
@@ -29,14 +27,13 @@ __version__ = "0.1.0"
 __all__ = [
     "InputError", "InternalError",
     "Fan", "build_hirzebruch", "build_p2", "builtin_surface", "fan_from_json",
-    "irrelevant_generators", "self_intersection_numbers", "validate",
+    "validate",
     "TorusDivisor", "PicClass", "LatticePolytope", "canonical_divisor",
     "divisor_from_labels", "euler_characteristic", "genus", "h0", "intersect",
     "is_ample", "pic_class", "polytope", "principal_divisor", "ray_divisor",
     "representative",
-    "CoxPolynomial", "EulerWeights", "check_euler", "euler_weights",
-    "monomial_basis", "multidegree", "poly_from_json", "poly_from_text",
-    "weights_from_labels",
+    "CoxPolynomial", "monomial_basis", "multidegree", "poly_from_json",
+    "poly_from_text",
     "GradedSubspace", "JacobianSystem", "NondegeneracyVerdict",
     "DEFAULT_SEED", "CriterionReport", "DeformationSearch", "evaluate",
     "find_rank_g_deformation", "quick_criterion", "trigonal_family_table",

@@ -9,7 +9,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 
 from .criterion import (DEFAULT_SEED, evaluate, find_rank_g_deformation,
                         quick_criterion, trigonal_family_table)
@@ -19,26 +18,6 @@ from .divisors import (TorusDivisor, canonical_divisor, divisor_from_labels,
 from .errors import InputError, InternalError
 from .fan import builtin_surface, fan_from_json
 from .jacobian import JacobianSystem
-
-
-@dataclass
-class JobSpec:
-    """Everything one invocation needs; keeps runs reproducible."""
-
-    command: str
-    surface: str = None
-    fan_file: str = None
-    class_arg: str = None
-    class_of: str = None
-    poly: str = None
-    poly_file: str = None
-    kmax: int = None
-    attempts: int = 32
-    seed: int = DEFAULT_SEED
-    json_out: bool = False
-    dump_subspaces: bool = False
-    dmin: int = 5
-    dmax: int = 10
 
 
 def _build_parser():
@@ -122,25 +101,15 @@ def _build_parser():
     return parser
 
 
-def _spec_from_args(args):
-    spec = JobSpec(command=args.command)
-    for name in ("surface", "fan_file", "class_arg", "class_of", "poly",
-                 "poly_file", "kmax", "attempts", "seed", "json_out",
-                 "dump_subspaces", "dmin", "dmax"):
-        if hasattr(args, name):
-            setattr(spec, name, getattr(args, name))
-    return spec
-
-
-def _load_fan(spec):
-    if spec.surface and spec.fan_file:
+def _load_fan(args):
+    if args.surface and args.fan_file:
         raise InputError("give either --surface or --fan-file, not both")
-    if spec.surface:
-        kind = "p2" if spec.surface == "p2" else "hirzebruch"
-        return builtin_surface(spec.surface), kind
-    if spec.fan_file:
+    if args.surface:
+        kind = "p2" if args.surface == "p2" else "hirzebruch"
+        return builtin_surface(args.surface), kind
+    if args.fan_file:
         try:
-            with open(spec.fan_file) as fh:
+            with open(args.fan_file) as fh:
                 data = json.load(fh)
         except OSError as e:
             raise InputError(f"cannot read fan file: {e}") from None
@@ -181,7 +150,7 @@ def _resolve_class_of(expr, beta_div, K_div):
     s = t = 0
     while pos < len(text):
         m = _CLASS_TERM.match(text, pos)
-        if not m:
+        if not m or (pos and not m.group(1)):
             raise InputError(f"cannot parse class expression {expr!r}; "
                              "expected terms like 2beta+2K")
         sign = -1 if m.group(1) == "-" else 1
@@ -200,14 +169,14 @@ def _resolve_class_of(expr, beta_div, K_div):
     return out
 
 
-def _load_poly(fan, spec, required=True):
-    if spec.poly and spec.poly_file:
+def _load_poly(fan, args, required=True):
+    if args.poly and args.poly_file:
         raise InputError("give either --poly or --poly-file, not both")
-    if spec.poly:
-        return poly_from_text(fan, spec.poly)
-    if spec.poly_file:
+    if args.poly:
+        return poly_from_text(fan, args.poly)
+    if args.poly_file:
         try:
-            with open(spec.poly_file) as fh:
+            with open(args.poly_file) as fh:
                 text = fh.read()
         except OSError as e:
             raise InputError(f"cannot read polynomial file: {e}") from None
@@ -224,9 +193,9 @@ def _load_poly(fan, spec, required=True):
     return None
 
 
-def _beta_divisor(fan, kind, spec, f=None):
-    if spec.class_arg:
-        D = _divisor_from_class_arg(fan, kind, spec.class_arg)
+def _beta_divisor(fan, kind, args, f=None):
+    if args.class_arg:
+        D = _divisor_from_class_arg(fan, kind, args.class_arg)
         if f is not None and not f.is_zero():
             if f.homogeneous_class() != pic_class(fan, D):
                 raise InputError("the polynomial's class does not match --class")
@@ -236,15 +205,15 @@ def _beta_divisor(fan, kind, spec, f=None):
     return None
 
 
-def _emit(spec, payload, text):
-    if spec.json_out:
+def _emit(args, payload, text):
+    if args.json_out:
         print(json.dumps(payload, indent=2))
     else:
         print(text)
 
 
-def _cmd_describe(spec):
-    fan, _ = _load_fan(spec)
+def _cmd_describe(args):
+    fan, _ = _load_fan(args)
     selfs = fan.self_intersections()
     K = canonical_divisor(fan)
     kcls = pic_class(fan, K)
@@ -269,26 +238,26 @@ def _cmd_describe(spec):
     lines.append(f"canonical class: {kcls.vec}")
     lines.append(f"K^2 = {payload['K2']}")
     lines.append("Pic basis: classes of the rays " + ", ".join(payload["pic_basis_rays"]))
-    _emit(spec, payload, "\n".join(lines))
+    _emit(args, payload, "\n".join(lines))
     return 0
 
 
-def _query_divisor(fan, kind, spec):
+def _query_divisor(fan, kind, args):
     """Divisor named by --class / --class-of, resolving beta when needed."""
     f = None
-    if spec.poly or spec.poly_file:
-        f = _load_poly(fan, spec)
-    beta = _beta_divisor(fan, kind, spec, f)
-    if spec.class_of:
-        return _resolve_class_of(spec.class_of, beta, canonical_divisor(fan)), f, beta
+    if args.poly or args.poly_file:
+        f = _load_poly(fan, args)
+    beta = _beta_divisor(fan, kind, args, f)
+    if args.class_of:
+        return _resolve_class_of(args.class_of, beta, canonical_divisor(fan)), f, beta
     if beta is None:
         raise InputError("a class is required (--class, --class-of, or --poly)")
     return beta, f, beta
 
 
-def _cmd_basis(spec):
-    fan, kind = _load_fan(spec)
-    D, _, _ = _query_divisor(fan, kind, spec)
+def _cmd_basis(args):
+    fan, kind = _load_fan(args)
+    D, _, _ = _query_divisor(fan, kind, args)
     basis = monomial_basis(fan, D)
     names = [fan.monomial_label(e) for e in basis]
     payload = {
@@ -301,30 +270,30 @@ def _cmd_basis(spec):
     lines = [f"divisor: {tuple(D.coeffs)}  class {pic_class(fan, D).vec}",
              f"dimension: {len(basis)}"]
     lines += [f"  {name}" for name in names]
-    _emit(spec, payload, "\n".join(lines))
+    _emit(args, payload, "\n".join(lines))
     return 0
 
 
-def _cmd_nondegenerate(spec):
-    fan, _ = _load_fan(spec)
-    f = _load_poly(fan, spec)
+def _cmd_nondegenerate(args):
+    fan, _ = _load_fan(args)
+    f = _load_poly(fan, args)
     sys_ = JacobianSystem(fan, f)
     verdict = sys_.nondegenerate_decide()
     payload = {"decision": verdict.label, "witness": verdict.witness}
     lines = [f"chart decision: {verdict.label}"]
     if verdict.witness:
         lines.append(f"witness: {verdict.witness}")
-    if spec.kmax is not None:
-        cert = sys_.saturation_certificate(spec.kmax)
+    if args.kmax is not None:
+        cert = sys_.saturation_certificate(args.kmax)
         payload["certificate"] = cert.label
         lines.append(f"saturation certificate: {cert.label}")
-    _emit(spec, payload, "\n".join(lines))
+    _emit(args, payload, "\n".join(lines))
     return 0
 
 
-def _cmd_hilbert(spec):
-    fan, kind = _load_fan(spec)
-    D, f, _ = _query_divisor(fan, kind, spec)
+def _cmd_hilbert(args):
+    fan, kind = _load_fan(args)
+    D, f, _ = _query_divisor(fan, kind, args)
     if f is None:
         raise InputError("hilbert needs the section f (--poly or --poly-file)")
     sys_ = JacobianSystem(fan, f)
@@ -341,36 +310,36 @@ def _cmd_hilbert(spec):
              f"dim S  = {s_dim}",
              f"dim J1 = {piece.dim}",
              f"dim R1 = {s_dim - piece.dim}"]
-    if spec.dump_subspaces:
+    if args.dump_subspaces:
         payload["J1_subspace"] = piece.to_dict()
         lines.append("J1 echelon basis:")
         for row in piece.rows:
             lines.append("  [" + ", ".join(str(x) for x in row) + "]")
         lines.append("ambient monomials: " +
                      " ".join(fan.monomial_label(e) for e in piece.ambient))
-    _emit(spec, payload, "\n".join(lines))
+    _emit(args, payload, "\n".join(lines))
     return 0
 
 
-def _cmd_criterion(spec, quick=False):
-    fan, kind = _load_fan(spec)
-    f = _load_poly(fan, spec)
-    beta = _beta_divisor(fan, kind, spec, f)
+def _cmd_criterion(args, quick=False):
+    fan, kind = _load_fan(args)
+    f = _load_poly(fan, args)
+    beta = _beta_divisor(fan, kind, args, f)
     if beta is None:
         raise InputError("a class for beta is required (--class or --poly)")
     report = quick_criterion(fan, beta, f) if quick else evaluate(fan, beta, f)
-    _emit(spec, report.to_dict(), report.to_text())
+    _emit(args, report.to_dict(), report.to_text())
     return 0
 
 
-def _cmd_find_eta(spec):
-    fan, kind = _load_fan(spec)
-    f = _load_poly(fan, spec)
-    beta = _beta_divisor(fan, kind, spec, f)
+def _cmd_find_eta(args):
+    fan, kind = _load_fan(args)
+    f = _load_poly(fan, args)
+    beta = _beta_divisor(fan, kind, args, f)
     if beta is None:
         raise InputError("a class for beta is required (--class or --poly)")
     result = find_rank_g_deformation(fan, beta, f,
-                                     attempts=spec.attempts, seed=spec.seed)
+                                     attempts=args.attempts, seed=args.seed)
     payload = result.to_dict()
     lines = [f"genus g = {result.genus}",
              f"seed = {result.seed}",
@@ -380,14 +349,14 @@ def _cmd_find_eta(spec):
         lines.append(f"eta = {result.eta.to_text()}")
     else:
         lines.append(f"found: no  (best rank {result.best_rank})")
-    _emit(spec, payload, "\n".join(lines))
+    _emit(args, payload, "\n".join(lines))
     return 0
 
 
-def _cmd_paper_table(spec):
-    if spec.dmin < 4 or spec.dmax < spec.dmin:
+def _cmd_paper_table(args):
+    if args.dmin < 4 or args.dmax < args.dmin:
         raise InputError("need 4 <= dmin <= dmax")
-    rows = trigonal_family_table(range(spec.dmin, spec.dmax + 1))
+    rows = trigonal_family_table(range(args.dmin, args.dmax + 1))
     header = f"{'d':>3} {'S_beta':>7} {'J1_beta':>8} {'R1_beta':>8} " \
              f"{'g':>4} {'bound':>6}  verdict"
     lines = [header]
@@ -395,7 +364,7 @@ def _cmd_paper_table(spec):
         lines.append(f"{row['d']:>3} {row['S_beta']:>7} {row['J1_beta']:>8} "
                      f"{row['R1_beta']:>8} {row['genus']:>4} "
                      f"{row['bound_value']:>6}  {row['verdict']}")
-    _emit(spec, rows, "\n".join(lines))
+    _emit(args, rows, "\n".join(lines))
     return 0
 
 
@@ -404,17 +373,17 @@ _COMMANDS = {
     "basis": _cmd_basis,
     "nondegenerate": _cmd_nondegenerate,
     "hilbert": _cmd_hilbert,
-    "criterion": lambda spec: _cmd_criterion(spec, quick=False),
-    "quick-criterion": lambda spec: _cmd_criterion(spec, quick=True),
+    "criterion": lambda args: _cmd_criterion(args, quick=False),
+    "quick-criterion": lambda args: _cmd_criterion(args, quick=True),
     "find-eta": _cmd_find_eta,
     "paper-table": _cmd_paper_table,
 }
 
 
-def run(spec):
-    """Execute a JobSpec; returns the process exit code."""
+def run(args):
+    """Execute parsed arguments; returns the process exit code."""
     try:
-        return _COMMANDS[spec.command](spec)
+        return _COMMANDS[args.command](args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -429,7 +398,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return e.code
-    return run(_spec_from_args(args))
+    return run(args)
 
 
 def entry():

@@ -7,7 +7,6 @@ so every basis and every printed polynomial is deterministic.
 """
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .divisors import TorusDivisor, pic_class, polytope
@@ -317,54 +316,3 @@ def poly_from_text(fan, text):
         if i < len(tokens) and not (tokens[i][0] == "op" and tokens[i][1] in "+-"):
             raise InputError(f"expected '+' or '-' before {tokens[i][1]!r}")
     return CoxPolynomial(fan, terms)
-
-
-@dataclass(frozen=True)
-class EulerWeights:
-    """Rational weights phi with sum(phi_rho * u_rho) = 0.
-
-    Such weights give the identity phi(beta) f = sum phi_rho x_rho df/dx_rho
-    for f homogeneous of class beta, where phi(beta) = sum phi_rho a_rho is
-    independent of the chosen representative (a_rho) of beta.
-    """
-
-    fan: object
-    phi: tuple
-
-    def constant_of(self, D):
-        return sum(p * a for p, a in zip(self.phi, D.coeffs))
-
-
-def euler_weights(fan, phi):
-    """Validate and wrap a weight vector (indexed by the stored ray order)."""
-    phi = tuple(Fraction(p) for p in phi)
-    if len(phi) != fan.n:
-        raise InputError("need one weight per ray")
-    sx = sum(p * u[0] for p, u in zip(phi, fan.rays))
-    sy = sum(p * u[1] for p, u in zip(phi, fan.rays))
-    if sx or sy:
-        raise InputError("weights do not satisfy sum(phi * u) = 0")
-    return EulerWeights(fan, phi)
-
-
-def weights_from_labels(fan, mapping):
-    """Build Euler weights from {label: weight}; omitted labels get 0."""
-    phi = [Fraction(0)] * fan.n
-    for lab, w in mapping.items():
-        phi[fan.position(lab)] = Fraction(w)
-    return euler_weights(fan, phi)
-
-
-def check_euler(p, w):
-    """Exact check of phi(beta) p = sum phi_rho x_rho dp/dx_rho."""
-    if p.is_zero():
-        return True
-    cls = p.homogeneous_class()
-    del cls  # homogeneity is what matters; any exponent is a representative
-    rep = TorusDivisor(next(iter(sorted(p.terms))))
-    c = w.constant_of(rep)
-    rhs = CoxPolynomial.zero(p.fan)
-    for i in range(p.fan.n):
-        if w.phi[i]:
-            rhs = rhs + p.euler_term(i).scale(w.phi[i])
-    return rhs == p.scale(c)

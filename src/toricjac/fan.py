@@ -149,10 +149,6 @@ class Fan:
             raise InputError(f"unknown variable {label!r}; "
                              f"expected one of {', '.join(self.labels)}") from None
 
-    def validate(self):
-        """Re-check the stored rays; always empty for a constructed Fan."""
-        return validate(list(self.rays), assume_normalized=True)
-
     def self_intersections(self):
         """Self-intersection number of each invariant divisor D_i.
 
@@ -198,14 +194,6 @@ def _label_key(label):
     head = label.rstrip("0123456789")
     tail = label[len(head):]
     return (head, int(tail) if tail else -1)
-
-
-def self_intersection_numbers(fan):
-    return fan.self_intersections()
-
-
-def irrelevant_generators(fan):
-    return fan.irrelevant_generators()
 
 
 def build_hirzebruch(r):

@@ -2,10 +2,12 @@
 
 For a homogeneous f the Euler terms are g_rho = x_rho df/dx_rho.  Three
 ideals matter: J0 = (g_rho), J = (df/dx_rho), and J1 = J0 : (prod x_rho).
-Every graded piece is computed by exact row reduction over the rationals;
-the J1 piece of a class is the preimage of the matching J0 piece under
-multiplication by prod x_rho, which is a linear map between monomial
-bases.
+Every graded piece is computed by exact row reduction over the rationals.
+Multiplication by x = prod x_rho maps S_D injectively onto the span C of
+the monomials of class D - K that every variable divides, so
+x * J1_D = J0_{D-K} ∩ C.  One elimination of the J0 products at D - K,
+with the columns outside C ordered first, yields that intersection as
+the rows whose pivots lie in C.
 """
 
 from dataclasses import dataclass
@@ -174,16 +176,14 @@ class JacobianSystem:
         if key in self._piece_cache:
             return self._piece_cache[key]
         ambient = self._basis(D)
-        products = []
-        if ambient:
-            mult = self._basis(D - self.beta_divisor)
-            for m in mult:
-                for g in self.euler_terms:
-                    if g.terms:
-                        products.append(g.shift(m))
-        piece = _span(ambient, products)
+        piece = _span(ambient, self._j0_products(D) if ambient else [])
         self._piece_cache[key] = piece
         return piece
+
+    def _j0_products(self, D):
+        """The products m * g_rho of class(D) that span the J0 piece."""
+        return [g.shift(m) for m in self._basis(D - self.beta_divisor)
+                for g in self.euler_terms if g.terms]
 
     def j_piece(self, D):
         """Graded piece of the plain partial-derivative ideal at class(D)."""
@@ -207,10 +207,12 @@ class JacobianSystem:
     def j1_piece(self, D):
         """Graded piece at class(D) of J0 : (prod x_rho).
 
-        Multiplication by prod x_rho sends the monomial basis of class(D)
-        injectively into the basis of class(D) - class(K); a section lies
-        in J1 exactly when its image lies in the J0 piece there, so the
-        piece is the kernel of the induced map to the J0 quotient.
+        Multiplication by prod x_rho adds 1 to every exponent, which keeps
+        the lex order, and maps the basis of class(D) onto the monomials C
+        of class(D) - class(K) that every variable divides.  Row reducing
+        the J0 products there with the columns outside C first leaves the
+        rows of J0 ∩ C as those whose pivots lie in C; cut down to C they
+        are the reduced echelon basis of the J1 piece.
         """
         key = ("j1", pic_class(self.fan, D).vec)
         if key in self._piece_cache:
@@ -221,21 +223,18 @@ class JacobianSystem:
             self._piece_cache[key] = piece
             return piece
         target = D - canonical_divisor(self.fan)
-        w = self.j0_piece(target)
-        tindex = {e: k for k, e in enumerate(w.ambient)}
-        ncols = len(ambient)
-        nrows = len(w.ambient)
-        eqs = [[0] * ncols for _ in range(nrows)]
-        for i, e in enumerate(ambient):
-            te = tuple(a + 1 for a in e)
-            if te not in tindex:
-                raise InternalError("shifted monomial missing from the target piece")
-            col = w.reduce_unit(tindex[te])
-            for t in range(nrows):
-                if col[t]:
-                    eqs[t][i] = col[t]
-        rows, pivots = linalg.kernel(eqs, ncols)
-        piece = GradedSubspace(tuple(ambient), tuple(rows), tuple(pivots))
+        tbasis = self._basis(target)
+        shifted = [tuple(a + 1 for a in e) for e in ambient]
+        inside = set(shifted)
+        if not inside.issubset(tbasis):
+            raise InternalError("shifted monomial missing from the target piece")
+        outside = [e for e in tbasis if e not in inside]
+        offset = len(outside)
+        full = _span(outside + shifted, self._j0_products(target))
+        kept = [(row[offset:], p - offset)
+                for row, p in zip(full.rows, full.pivots) if p >= offset]
+        piece = GradedSubspace(tuple(ambient), tuple(r for r, _ in kept),
+                               tuple(p for _, p in kept))
         self._piece_cache[key] = piece
         return piece
 
@@ -270,12 +269,14 @@ class JacobianSystem:
         return NondegeneracyVerdict("nondegenerate")
 
     def saturation_certificate(self, k_max=8):
-        """Sufficient nondegeneracy certificate by irrelevant-ideal powers.
+        """Nondegeneracy certificate by irrelevant-ideal powers.
 
         If every degree-k product of the irrelevant generators lies in J0
         then the Euler terms cannot vanish simultaneously off the excluded
-        locus, which certifies nondegeneracy.  The converse fails, so a
-        miss up to k_max is only 'undetermined'.
+        locus, which certifies nondegeneracy.  Conversely, a nondegenerate
+        f has B in rad(J0) for the irrelevant ideal B by the
+        Nullstellensatz, so some power B^k lies in J0; 'undetermined'
+        only means that k_max was below the least such k.
         """
         if k_max < 1:
             raise InputError("k_max must be at least 1")
@@ -292,9 +293,7 @@ class JacobianSystem:
             ok = True
             for exps in sorted(products):
                 piece = self.j0_piece(TorusDivisor(exps))
-                vec = [0] * piece.ambient_dim
-                vec[piece.index_of(exps)] = 1
-                if not piece.contains_vector(vec):
+                if any(piece.reduce_unit(piece.index_of(exps))):
                     ok = False
                     break
             if ok:

@@ -48,7 +48,7 @@ def j1_dim_brute(sys_, D):
     Multiplies each monomial of S_D by prod(x_rho), reduces against the
     echelon of J0 in class D - K, and counts independent residuals with an
     incremental insert.  dim J1 = dim S - number of independent residuals,
-    computed with no reference to the kernel-based j1_piece path.
+    computed with no reference to j1_piece.
     """
     fan = sys_.fan
     amb = monomial_basis(fan, D)

@@ -158,6 +158,14 @@ def test_class_of_parse_error():
     assert "cannot parse class expression" in err
 
 
+def test_class_of_needs_sign_between_terms():
+    for expr in ("2beta2K", "betaK"):
+        code, out, err = run_cli(
+            ["hilbert", "--poly", TRIGONAL_D5, "--class-of", expr] + H1)
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot parse class expression")
+
+
 def test_basis_text():
     code, out, _ = run_cli(["basis", "--class", "2,1"] + H1)
     assert code == 0

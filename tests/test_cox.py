@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from toricjac.cox import (CoxPolynomial, check_euler, euler_weights,
-                          monomial_basis, multidegree, poly_from_json,
-                          poly_from_text, weights_from_labels)
+from toricjac.cox import (CoxPolynomial, monomial_basis, multidegree,
+                          poly_from_json, poly_from_text)
 from toricjac.divisors import divisor_from_labels, h0, pic_class
-from toricjac.errors import InputError
+from toricjac.errors import InputError, InternalError
 from toricjac.fan import build_hirzebruch, builtin_surface
+from toricjac.jacobian import JacobianSystem
 
 from conftest import TRIGONAL_D5
 
@@ -123,24 +123,24 @@ def test_partial_and_euler_term():
     assert const.partial(0).is_zero()
 
 
-def test_euler_weights_validation():
-    fan = build_hirzebruch(1)
-    w = weights_from_labels(fan, {"x1": 1, "x3": 1, "x4": 1})
-    assert w.constant_of(divisor_from_labels(fan, {"x1": 5, "x2": 3})) == 5
-    with pytest.raises(InputError):
-        weights_from_labels(fan, {"x1": 1})
-    with pytest.raises(InputError):
-        euler_weights(fan, (1, 2, 3))
-
-
 def test_euler_identity_on_sections():
+    # JacobianSystem checks phi(beta) f = sum phi_rho x_rho df/dx_rho on a
+    # basis of the weights with sum phi_rho u_rho = 0; the identity is
+    # linear in phi, so the basis covers every weight.
     fan = build_hirzebruch(1)
     f = poly_from_text(fan, TRIGONAL_D5)
+    sys_ = JacobianSystem(fan, f)
     # kernel of the ray matrix: phi_x1 = phi_x3 = s, phi_x4 = s + phi_x2
-    rng = random.Random(23)
-    for _ in range(12):
-        s = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-        t = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-        w = weights_from_labels(fan, {"x1": s, "x3": s, "x2": t, "x4": s + t})
-        assert check_euler(f, w)
-    assert check_euler(CoxPolynomial.zero(fan), w)
+    for s, t in ((1, 0), (0, 1), (Fraction(-3, 2), Fraction(5, 3))):
+        phi = [0] * fan.n
+        for lab, w in (("x1", s), ("x3", s), ("x2", t), ("x4", s + t)):
+            phi[fan.position(lab)] = w
+        const = sum(p * a for p, a in zip(phi, sys_.beta_divisor.coeffs))
+        lhs = CoxPolynomial.zero(fan)
+        for term, p in zip(sys_.euler_terms, phi):
+            lhs = lhs + term.scale(p)
+        assert lhs == f.scale(const)
+    broken = JacobianSystem(fan, f)
+    broken.euler_terms = (broken.euler_terms[0].scale(2),) + broken.euler_terms[1:]
+    with pytest.raises(InternalError):
+        broken._check_euler_identities()

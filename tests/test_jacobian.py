@@ -1,15 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from toricjac.cox import CoxPolynomial, poly_from_text
+from toricjac.cox import CoxPolynomial, monomial_basis, poly_from_text
 from toricjac.divisors import canonical_divisor, divisor_from_labels
 from toricjac.errors import InputError
 from toricjac.fan import builtin_surface
 from toricjac.jacobian import JacobianSystem
 from toricjac import linalg
 
-from conftest import H2_TRIGONAL, j1_dim_brute, lambda_section
+from conftest import H2_TRIGONAL, TRIGONAL_D5, j1_dim_brute, lambda_section
 
 
 def subspace_leq(small, big):
@@ -206,3 +207,52 @@ def test_subspace_dump_shape(s5):
     assert len(dump["rows"]) == 7
     assert len(dump["pivots"]) == 7
     assert all(isinstance(x, str) for row in dump["rows"] for x in row)
+
+
+def assert_j1_rows_fixed(sys_, D):
+    """Each J1 row times prod x lies in J0 at D - K, and the dim is right."""
+    j1 = sys_.j1_piece(D)
+    j0 = sys_.j0_piece(D - canonical_divisor(sys_.fan))
+    for row in j1.rows:
+        vec = [0] * j0.ambient_dim
+        for e, c in zip(j1.ambient, row):
+            vec[j0.index_of(tuple(a + 1 for a in e))] = c
+        assert j0.contains_vector(vec)
+    assert j1.dim == j1_dim_brute(sys_, D)
+
+
+def test_j1_rows_shift_into_j0(battery, p1xp1):
+    systems = [(entry["sys"], entry["beta"]) for entry in battery]
+    b22 = divisor_from_labels(p1xp1, {"x1": 2, "x2": 2})
+    systems.append((JacobianSystem(p1xp1, lambda_section(p1xp1, 0)), b22))
+    b44 = divisor_from_labels(p1xp1, {"x1": 4, "x2": 4})
+    rng = random.Random(44)
+    dense = CoxPolynomial.zero(p1xp1)
+    for e in monomial_basis(p1xp1, b44):
+        dense = dense + CoxPolynomial.monomial(p1xp1, e, rng.choice((-3, -2, -1, 1, 2, 3)))
+    systems.append((JacobianSystem(p1xp1, dense), b44))
+    for sys_, beta in systems:
+        K = canonical_divisor(sys_.fan)
+        for D in (beta, beta + K, 2 * beta + K, 2 * beta + 2 * K):
+            assert_j1_rows_fixed(sys_, D)
+
+
+def test_j1_piece_is_one_elimination(h1, monkeypatch):
+    sys_ = JacobianSystem(h1, poly_from_text(h1, TRIGONAL_D5))
+    calls = []
+    rref = linalg.rref
+
+    def counted(rows, ncols):
+        calls.append(len(rows))
+        return rref(rows, ncols)
+
+    def forbidden(*args):
+        raise AssertionError("j1_piece must not take this route")
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    monkeypatch.setattr(linalg, "kernel", forbidden)
+    monkeypatch.setattr(JacobianSystem, "j0_piece", forbidden)
+    assert sys_.j1_piece(sys_.beta_divisor).dim == 7
+    assert len(calls) == 1
+    assert sys_.j1_piece(sys_.beta_divisor).dim == 7
+    assert len(calls) == 1
