@@ -169,7 +169,7 @@ def _resolve_class_of(expr, beta_div, K_div):
     return out
 
 
-def _load_poly(fan, args, required=True):
+def _load_poly(fan, args):
     if args.poly and args.poly_file:
         raise InputError("give either --poly or --poly-file, not both")
     if args.poly:
@@ -188,9 +188,7 @@ def _load_poly(fan, args, required=True):
                 raise InputError(f"polynomial file is not valid JSON: {e}") from None
             return poly_from_json(fan, data)
         return poly_from_text(fan, stripped)
-    if required:
-        raise InputError("a polynomial is required (--poly or --poly-file)")
-    return None
+    raise InputError("a polynomial is required (--poly or --poly-file)")
 
 
 def _beta_divisor(fan, kind, args, f=None):
@@ -278,13 +276,14 @@ def _cmd_nondegenerate(args):
     fan, _ = _load_fan(args)
     f = _load_poly(fan, args)
     sys_ = JacobianSystem(fan, f)
+    # the certificate checks --kmax before the chart decision runs
+    cert = None if args.kmax is None else sys_.saturation_certificate(args.kmax)
     verdict = sys_.nondegenerate_decide()
     payload = {"decision": verdict.label, "witness": verdict.witness}
     lines = [f"chart decision: {verdict.label}"]
     if verdict.witness:
         lines.append(f"witness: {verdict.witness}")
-    if args.kmax is not None:
-        cert = sys_.saturation_certificate(args.kmax)
+    if cert is not None:
         payload["certificate"] = cert.label
         lines.append(f"saturation certificate: {cert.label}")
     _emit(args, payload, "\n".join(lines))

@@ -220,12 +220,12 @@ def find_rank_g_deformation(fan, D_beta, f, attempts=32, seed=DEFAULT_SEED):
     uniformly from the integers -3..3 with a deterministic generator, so a
     recorded seed reproduces the result exactly.
     """
+    if attempts < 1:
+        raise InputError("attempts must be at least 1")
     report, sys = _evaluate(fan, D_beta, f, "full")
     if report.verdict != "certified":
         raise InputError(
             f"refusing to search: criterion verdict is {report.verdict!r}")
-    if attempts < 1:
-        raise InputError("attempts must be at least 1")
     basis = monomial_basis(fan, D_beta)
     K = canonical_divisor(fan)
     D_from = D_beta + K

@@ -9,8 +9,6 @@ coefficient.  Both classical pair criteria are applied.
 from fractions import Fraction
 from math import gcd
 
-from .errors import InputError
-
 
 def _key(m):
     return (m[0] + m[1], m[0])
@@ -203,12 +201,3 @@ def ideal_contains(polys, f):
     if not gb:
         return not to_int_poly(f)
     return not reduce_poly(to_int_poly(f), gb)
-
-
-def poly_from_pairs(pairs):
-    out = {}
-    for (i, j), c in pairs:
-        if not isinstance(i, int) or not isinstance(j, int) or i < 0 or j < 0:
-            raise InputError("monomials must have nonnegative integer exponents")
-        out[(i, j)] = out.get((i, j), 0) + c
-    return {m: c for m, c in out.items() if c}

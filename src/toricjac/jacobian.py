@@ -11,6 +11,7 @@ the rows whose pivots lie in C.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cox import CoxPolynomial, monomial_basis
 from .divisors import TorusDivisor, canonical_divisor, pic_class, ray_divisor
@@ -39,20 +40,22 @@ class GradedSubspace:
     def ambient_dim(self):
         return len(self.ambient)
 
+    @cached_property
+    def columns(self):
+        """The column of each ambient monomial."""
+        return {e: k for k, e in enumerate(self.ambient)}
+
     def index_of(self, exps):
         try:
-            return self.ambient.index(tuple(exps))
-        except ValueError:
+            return self.columns[tuple(exps)]
+        except KeyError:
             raise InputError(f"monomial {exps} is not in this graded piece") from None
 
     def vector_of(self, poly):
         """Coordinates of a polynomial that lives in this graded piece."""
-        index = {e: k for k, e in enumerate(self.ambient)}
         vec = [0] * len(self.ambient)
         for e, c in poly.terms.items():
-            if e not in index:
-                raise InputError(f"monomial {e} is not in this graded piece")
-            vec[index[e]] = c
+            vec[self.index_of(e)] = c
         return vec
 
     def reduce(self, vec):
@@ -321,16 +324,15 @@ class JacobianSystem:
             raise InputError("the top graded piece of the quotient ring is not a line")
         tpiece, tcosets = self._coset_data(top)
         tgen = tcosets[0]
-        tpos = tpiece.ambient.index(tgen)
+        tpos = tpiece.columns[tgen]
         _, acosets = self._coset_data(Da)
         _, bcosets = self._coset_data(Db)
-        tindex = {e: k for k, e in enumerate(tpiece.ambient)}
         matrix = []
         for ea in acosets:
             row = []
             for eb in bcosets:
                 prod = tuple(a + b for a, b in zip(ea, eb))
-                red = tpiece.reduce_unit(tindex[prod])
+                red = tpiece.reduce_unit(tpiece.columns[prod])
                 row.append(red[tpos])
             matrix.append(row)
         return matrix
@@ -344,7 +346,7 @@ class JacobianSystem:
                 raise InputError("class(eta) + class(source) != class(target)")
         fpiece, fcosets = self._coset_data(D_from)
         tpiece, tcosets = self._coset_data(D_to)
-        tsel = [tpiece.ambient.index(e) for e in tcosets]
+        tsel = [tpiece.columns[e] for e in tcosets]
         matrix = []
         for e in fcosets:
             prod = eta.shift(e)

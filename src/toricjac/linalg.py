@@ -1,7 +1,43 @@
-"""Exact rational linear algebra on dense rows of Fractions."""
+"""Exact rational linear algebra.
 
-import bisect
+Matrices come in and go out as dense rows of rationals.  rref, the one
+elimination loop, works inside on sparse fraction-free rows (a dict from
+column to integer, divided by its content) and converts to Fractions only
+when it builds its result.
+"""
+
 from fractions import Fraction
+from math import gcd, lcm
+
+
+def _integer_row(row):
+    """The row as {column: int}, scaled by the lcm of its denominators."""
+    cells = [(c, x) for c, x in enumerate(row) if x]
+    den = lcm(*(x.denominator for _, x in cells))
+    return {c: x.numerator * (den // x.denominator) for c, x in cells}
+
+
+def _eliminate(v, b, p):
+    """A multiple of v minus a multiple of b, with a zero in column p."""
+    a, m = b[p], v[p]
+    g = gcd(a, m)
+    a, m = a // g, m // g
+    out = {c: a * x for c, x in v.items()}
+    for c, x in b.items():
+        y = out.get(c, 0) - m * x
+        if y:
+            out[c] = y
+        else:
+            del out[c]
+    return out
+
+
+def _primitive(v):
+    """v divided by its content, with a positive first entry."""
+    g = gcd(*v.values())
+    if v[min(v)] < 0:
+        g = -g
+    return {c: x // g for c, x in v.items()}
 
 
 def rref(rows, ncols):
@@ -11,31 +47,29 @@ def rref(rows, ncols):
     rows, each starting with a unit pivot, with zeros above and below
     every pivot.
     """
-    work = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(work)
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if work[i][col]:
-                pr = i
-                break
-        if pr is None:
+    basis = {}  # pivot column -> primitive integer row, positive at its pivot
+    for row in rows:
+        v = _integer_row(row)
+        for p in [c for c in v if c in basis]:
+            v = _eliminate(v, basis[p], p)
+        if not v:
             continue
-        work[r], work[pr] = work[pr], work[r]
-        lead = work[r][col]
-        if lead != 1:
-            work[r] = [x / lead for x in work[r]]
-        for i in range(nrows):
-            if i != r and work[i][col]:
-                c = work[i][col]
-                work[i] = [a - c * b for a, b in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return [tuple(row) for row in work[:r]], tuple(pivots)
+        v = _primitive(v)
+        lead = min(v)
+        for p, b in basis.items():
+            if lead in b:
+                basis[p] = _primitive(_eliminate(b, v, lead))
+        basis[lead] = v
+    pivots = tuple(sorted(basis))
+    zero = Fraction(0)
+    out = []
+    for p in pivots:
+        b = basis[p]
+        dense = [zero] * ncols
+        for c, x in b.items():
+            dense[c] = Fraction(x, b[p])
+        out.append(tuple(dense))
+    return out, pivots
 
 
 def rank(rows, ncols):
@@ -52,10 +86,6 @@ def reduce_vector(rows, pivots, vec):
     return v
 
 
-def in_span(rows, pivots, vec):
-    return not any(reduce_vector(rows, pivots, vec))
-
-
 def kernel(rows, ncols):
     """RREF basis of the solution space of the homogeneous system rows*x = 0."""
     red, pivots = rref(rows, ncols)
@@ -70,47 +100,3 @@ def kernel(rows, ncols):
             v[p] = -red[k][free]
         basis.append(v)
     return rref(basis, ncols)
-
-
-class Echelon:
-    """Incrementally maintained reduced echelon basis.
-
-    insert() reports whether the vector enlarged the span, which gives a
-    one-at-a-time membership test independent of batch elimination.
-    """
-
-    def __init__(self, ncols):
-        self.ncols = ncols
-        self.rows = []
-        self.pivots = []
-
-    @property
-    def rank(self):
-        return len(self.rows)
-
-    def reduce(self, vec):
-        return reduce_vector(self.rows, self.pivots, vec)
-
-    def contains(self, vec):
-        return not any(self.reduce(vec))
-
-    def insert(self, vec):
-        v = self.reduce(vec)
-        lead = None
-        for i, x in enumerate(v):
-            if x:
-                lead = i
-                break
-        if lead is None:
-            return False
-        c = v[lead]
-        if c != 1:
-            v = [x / c for x in v]
-        for i, row in enumerate(self.rows):
-            c = row[lead]
-            if c:
-                self.rows[i] = [a - c * b for a, b in zip(row, v)]
-        pos = bisect.bisect_left(self.pivots, lead)
-        self.pivots.insert(pos, lead)
-        self.rows.insert(pos, v)
-        return True

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from toricjac import criterion
 from toricjac.divisors import canonical_divisor, pic_class
+from toricjac.jacobian import JacobianSystem
 
 from conftest import (QUINTIC_55, TRIGONAL_D5, dense_section, lambda_section,
                       run_cli)
@@ -216,6 +218,21 @@ def test_nondegenerate_certificate():
     assert out.splitlines()[-1] == "saturation certificate: undetermined(k_max=8)"
     assert run_cli(["nondegenerate", "--poly", TRIGONAL_D5,
                     "--kmax", "0"] + H1)[0] == 2
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("a bad count must be refused before any computation")
+
+
+def test_bad_counts_are_refused_before_computing(monkeypatch):
+    monkeypatch.setattr(criterion, "_evaluate", _must_not_run)
+    monkeypatch.setattr(JacobianSystem, "nondegenerate_decide", _must_not_run)
+    code, out, err = run_cli(["find-eta", "--class", "5,3", "--poly", TRIGONAL_D5,
+                              "--attempts", "0"] + H1)
+    assert (code, out, err) == (2, "", "error: attempts must be at least 1\n")
+    code, out, err = run_cli(["nondegenerate", "--poly", TRIGONAL_D5,
+                              "--kmax", "0"] + H1)
+    assert (code, out, err) == (2, "", "error: k_max must be at least 1\n")
 
 
 def test_find_eta_text():

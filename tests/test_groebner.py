@@ -1,13 +1,10 @@
 import random
 from fractions import Fraction
 
-import pytest
 import sympy
 
-from toricjac.errors import InputError
 from toricjac.groebner import (groebner_basis, ideal_contains, is_unit_ideal,
-                               poly_from_pairs, reduce_poly, s_polynomial,
-                               to_int_poly)
+                               reduce_poly, s_polynomial, to_int_poly)
 
 X, Y = sympy.symbols("x y")
 
@@ -27,13 +24,6 @@ def test_to_int_poly_normalizes():
     assert to_int_poly({(2, 0): -2, (0, 0): 4}) == {(2, 0): 1, (0, 0): -2}
     assert to_int_poly({}) == {}
     assert to_int_poly({(1, 1): Fraction(0)}) == {}
-
-
-def test_poly_from_pairs_merges_and_validates():
-    f = poly_from_pairs([((1, 0), 2), ((1, 0), -2), ((0, 1), 5)])
-    assert f == {(0, 1): 5}
-    with pytest.raises(InputError):
-        poly_from_pairs([((-1, 0), 1)])
 
 
 def test_reduce_poly_simple():

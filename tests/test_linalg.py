@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
 
-from toricjac.linalg import Echelon, in_span, kernel, rank, reduce_vector, rref
+from toricjac.cox import poly_from_text
+from toricjac.divisors import canonical_divisor, divisor_from_labels
+from toricjac.jacobian import JacobianSystem
+from toricjac.linalg import kernel, rank, reduce_vector, rref
 
 
 def F(x):
@@ -11,6 +14,42 @@ def F(x):
 def random_matrix(rng, nrows, ncols, den=3):
     return [[Fraction(rng.randint(-4, 4), rng.randint(1, den))
              for _ in range(ncols)] for _ in range(nrows)]
+
+
+def dense_rref(rows, ncols):
+    """Reference: column-by-column Gauss-Jordan on dense Fraction rows."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    nrows = len(work)
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pr = None
+        for i in range(r, nrows):
+            if work[i][col]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        lead = work[r][col]
+        if lead != 1:
+            work[r] = [x / lead for x in work[r]]
+        for i in range(nrows):
+            if i != r and work[i][col]:
+                c = work[i][col]
+                work[i] = [a - c * b for a, b in zip(work[i], work[r])]
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    return [tuple(row) for row in work[:r]], tuple(pivots)
+
+
+def assert_matches_reference(rows, ncols):
+    got = rref([row[:] for row in rows], ncols)
+    assert got == dense_rref(rows, ncols)
+    assert all(type(x) is Fraction for row in got[0] for x in row)
+    return got
 
 
 def test_rref_known_matrix():
@@ -39,8 +78,6 @@ def test_reduce_vector_membership():
     outside = [F(0), F(0), F(5)]
     assert not any(reduce_vector(rows, pivots, inside))
     assert any(reduce_vector(rows, pivots, outside))
-    assert in_span(rows, pivots, inside)
-    assert not in_span(rows, pivots, outside)
 
 
 def test_kernel_annihilates_rows():
@@ -68,20 +105,41 @@ def test_rref_idempotent_random():
         assert again == rows and pivots2 == pivots
 
 
-def test_echelon_insert_matches_batch_rank():
-    rng = random.Random(3)
-    for _ in range(20):
-        nrows, ncols = rng.randint(1, 7), rng.randint(1, 6)
-        mat = random_matrix(rng, nrows, ncols)
-        ech = Echelon(ncols)
-        inserted = 0
-        for row in mat:
-            before = ech.contains(row[:])
-            grew = ech.insert(row[:])
-            assert grew == (not before)
-            inserted += grew
-        assert inserted == rank([row[:] for row in mat], ncols)
-        assert ech.rank == inserted
-        # every original row now reduces to zero
-        for row in mat:
-            assert ech.contains(row[:])
+def test_rref_matches_dense_reference_random():
+    rng = random.Random(2024)
+    assert_matches_reference([], 3)
+    for _ in range(2400):
+        nrows, ncols = rng.randint(0, 8), rng.randint(1, 8)
+        mat = []
+        for _ in range(nrows):
+            pick = rng.random()
+            if pick < 0.1:
+                mat.append([0] * ncols)
+            elif pick < 0.2 and mat:
+                mat.append(list(rng.choice(mat)))
+            else:
+                mat.append([rng.choice((0, 0, rng.randint(-9, 9),
+                                        Fraction(rng.randint(-9, 9), rng.randint(2, 7))))
+                            for _ in range(ncols)])
+        assert_matches_reference(mat, ncols)
+
+
+def j0_product_matrices(sys_, D):
+    """The J0 products at class(D) in ambient order and in reversed order."""
+    piece = sys_.j0_piece(D)
+    n = piece.ambient_dim
+    rows = [piece.vector_of(p) for p in sys_._j0_products(D)]
+    return [(rows, n), ([row[::-1] for row in rows], n)]
+
+
+def test_rref_matches_dense_reference_on_j0_products(battery, h1):
+    rational = poly_from_text(h1, "1/2*x1^5*x2^3 + 3/7*x3^2*x4^3 - 5/3*x3^5*x2^3"
+                                  " + x1^2*x4^3 + 2/5*x1^3*x2^2*x3*x4")
+    systems = [(entry["sys"], entry["beta"]) for entry in battery]
+    systems.append((JacobianSystem(h1, rational),
+                    divisor_from_labels(h1, {"x1": 5, "x2": 3})))
+    for sys_, beta in systems:
+        K = canonical_divisor(sys_.fan)
+        for D in (beta, beta - K, 2 * beta + K, 2 * beta + 2 * K):
+            for rows, ncols in j0_product_matrices(sys_, D):
+                assert_matches_reference(rows, ncols)

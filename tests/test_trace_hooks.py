@@ -1,0 +1,38 @@
+"""The benchmark's tracer still finds every function it wraps.
+
+perfbench/spans.py patches toricjac's layer functions by name; a rename
+there would break ``perfbench/run.py --trace 1``, so it is caught here.
+"""
+
+import contextlib
+import io
+import shlex
+from pathlib import Path
+
+import toricjac.cli
+
+ROOT = Path(__file__).resolve().parents[1]
+FIND_ETA = ('find-eta --surface hirzebruch:1 --class 5,3 '
+            '--poly "x1^5*x2^3 + x3^2*x4^3 + x3^5*x2^3 + x1^2*x4^3"')
+
+
+def test_spans_install_traces_a_readme_command(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import spans
+
+    argv = shlex.split(FIND_ETA)
+    assert f"$ toricjac {FIND_ETA}" in (ROOT / "README.md").read_text()
+    tracer = spans.Tracer()
+    spans.install(tracer)
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = toricjac.cli.main(argv)
+    finally:
+        tracer.unpatch()
+    assert code == 0 and "found: yes  (rank 5)" in out.getvalue()
+    names = {span.name for span in tracer.spans}
+    assert {"cli.main", "criterion.find_rank_g_deformation", "linalg.rref",
+            "linalg.kernel", "linalg.rank", "linalg.reduce_vector",
+            "jacobian.j1_piece", "jacobian.multiplication_matrix"} <= names
+    assert not hasattr(toricjac.cli.main, "__wrapped__")
