@@ -3,11 +3,15 @@
 Used to decide whether a chart ideal is the unit ideal.  Monomials are
 pairs (i, j) ordered by graded lex with x > y; polynomials are dicts from
 monomials to integers, kept content-free with a positive leading
-coefficient.  Both classical pair criteria are applied.
+coefficient.  Both classical pair criteria are applied.  Lead terms are
+found once per element: reduction looks its reducers' leads up in a list
+made once per call, and the basis keeps the lead of every element it
+adds.  Pending pairs wait in a heap, smallest lcm of their leads first.
 """
 
 from fractions import Fraction
-from math import gcd
+from heapq import heappop, heappush
+from math import gcd, lcm
 
 
 def _key(m):
@@ -75,39 +79,46 @@ def reduce_poly(f, gens):
 
     Integer pseudo-reduction: when a lead term is cancelled both the work
     polynomial and the accumulated remainder are scaled by the same
-    multiplier, then the pair is stripped of common content.
+    multiplier, then the pair is stripped of common content.  The pair
+    stays a positive multiple of the one reduction over the rationals
+    gives, so how often content is stripped does not change the result;
+    after a multiplier of 1 it is not looked for.
     """
+    leads = [(g,) + _lt(g) for g in gens]
     rem = {}
     p = dict(f)
     while p:
         lm, lc = _lt(p)
-        hit = None
-        for g in gens:
-            gm, gc = _lt(g)
+        for g, gm, gc in leads:
             if _divides(gm, lm):
-                hit = (g, gm, gc)
                 break
-        if hit is None:
+        else:
             rem[lm] = lc
             del p[lm]
             continue
-        g, gm, gc = hit
-        l = abs(lc * gc) // gcd(abs(lc), abs(gc))
+        l = lcm(lc, gc)
         a = l // abs(lc)
-        sign = 1 if (lc > 0) == (gc > 0) else -1
-        b = sign * (l // abs(gc))
-        p = _add({m: a * c for m, c in p.items()},
-                 _shift_mul(g, (lm[0] - gm[0], lm[1] - gm[1]), -b))
-        if rem:
+        b = l // gc if lc > 0 else -(l // gc)  # a * lc == b * gc
+        if a != 1:
+            p = {m: a * c for m, c in p.items()}
             rem = {m: a * c for m, c in rem.items()}
-        cont = 0
-        for c in p.values():
-            cont = gcd(cont, abs(c))
-        for c in rem.values():
-            cont = gcd(cont, abs(c))
-        if cont > 1:
-            p = {m: c // cont for m, c in p.items()}
-            rem = {m: c // cont for m, c in rem.items()}
+        dx, dy = lm[0] - gm[0], lm[1] - gm[1]
+        for m, c in g.items():
+            m = (m[0] + dx, m[1] + dy)
+            s = p.get(m, 0) - b * c
+            if s:
+                p[m] = s
+            else:
+                del p[m]
+        if a != 1:
+            cont = 0
+            for c in (*p.values(), *rem.values()):
+                cont = gcd(cont, c)
+                if cont == 1:
+                    break
+            if cont > 1:
+                p = {m: c // cont for m, c in p.items()}
+                rem = {m: c // cont for m, c in rem.items()}
     return _content_normalize(rem)
 
 
@@ -133,15 +144,23 @@ def groebner_basis(polys):
     if not G:
         return []
     lead = [_lt(g)[0] for g in G]
-    pending = {(i, j) for i in range(len(G)) for j in range(i)}
-    while pending:
-        i, j = min(pending,
-                   key=lambda p: (_key(_lcm_mono(lead[p[0]], lead[p[1]])), p))
+    pending = set()
+    queue = []
+
+    def add_pairs(i):
+        for j in range(i):
+            pending.add((i, j))
+            heappush(queue, (_key(_lcm_mono(lead[i], lead[j])), (i, j)))
+
+    for i in range(len(G)):
+        add_pairs(i)
+    while queue:
+        _, (i, j) = heappop(queue)
         pending.discard((i, j))
         li, lj = lead[i], lead[j]
-        lcm = _lcm_mono(li, lj)
+        top = _lcm_mono(li, lj)
         # product criterion: coprime lead monomials give a trivial pair
-        if lcm == (li[0] + lj[0], li[1] + lj[1]):
+        if top == (li[0] + lj[0], li[1] + lj[1]):
             continue
         # chain criterion: a third element dividing the lcm whose pairs with
         # both i and j were already treated makes this pair redundant
@@ -149,7 +168,7 @@ def groebner_basis(polys):
         for k in range(len(G)):
             if k in (i, j):
                 continue
-            if _divides(lead[k], lcm):
+            if _divides(lead[k], top):
                 pik = (max(i, k), min(i, k))
                 pjk = (max(j, k), min(j, k))
                 if pik not in pending and pjk not in pending:
@@ -162,18 +181,16 @@ def groebner_basis(polys):
             continue
         G.append(r)
         lead.append(_lt(r)[0])
-        t = len(G) - 1
-        pending.update((t, k) for k in range(t))
-        if _lt(r)[0] == (0, 0):
+        if lead[-1] == (0, 0):
             break
+        add_pairs(len(G) - 1)
     # minimize: drop elements whose lead is divisible by another lead
     keep = []
-    for i, g in enumerate(G):
-        li = _lt(g)[0]
-        if any(_divides(_lt(G[j])[0], li) for j in range(len(G)) if j != i
-               and (_lt(G[j])[0] != li or j < i)):
+    for i, li in enumerate(lead):
+        if any(_divides(lj, li) for j, lj in enumerate(lead) if j != i
+               and (lj != li or j < i)):
             continue
-        keep.append(g)
+        keep.append(G[i])
     # interreduce tails
     reduced = []
     for i, g in enumerate(keep):
@@ -193,11 +210,3 @@ def is_unit_ideal(polys):
             return True
     gb = groebner_basis(polys)
     return len(gb) == 1 and _lt(gb[0])[0] == (0, 0)
-
-
-def ideal_contains(polys, f):
-    """Membership of f in the ideal generated by polys (test helper)."""
-    gb = groebner_basis(polys)
-    if not gb:
-        return not to_int_poly(f)
-    return not reduce_poly(to_int_poly(f), gb)

@@ -248,15 +248,27 @@ class JacobianSystem:
     def nondegenerate_decide(self):
         """Exact chart-by-chart decision.
 
-        On the chart of a maximal cone the variables off the cone are set
-        to 1; the Euler terms have no common zero there exactly when the
-        substituted ideal is the unit ideal in two variables.
+        On the chart of a maximal cone (x_i, x_j) the variables off the cone
+        are set to 1, which identifies the chart with C^2; f is degenerate
+        exactly when on some chart the substituted Euler terms have a
+        common zero, that is, when they do not generate the unit ideal.
+        Every chart contains the whole torus {x_i * x_j != 0}, so once the
+        first chart's ideal is the unit ideal there is no common zero on
+        the torus, and a later chart can only have one on its axes.  The
+        cones are (c, c + 1 mod n) in order, so the axis x_i = 0 of chart
+        c >= 1 lies in chart c - 1, apart from its origin, which is on the
+        axis x_j = 0.  A later chart therefore only checks the terms free
+        of x_j, an ideal in one variable, where Buchberger's algorithm is
+        Euclid's.  Charts are visited in order, so the first degenerate
+        chart, the witness, is the one the whole-chart test finds.
         """
         for c, (i, j) in enumerate(self.fan.maximal_cones):
             charts = []
             for g in self.euler_terms:
                 chart = {}
                 for e, coeff in g.terms.items():
+                    if c and e[j]:
+                        continue
                     m = (e[i], e[j])
                     s = chart.get(m, 0) + coeff
                     if s:
@@ -265,7 +277,7 @@ class JacobianSystem:
                         chart.pop(m, None)
                 if chart:
                     charts.append(chart)
-            if not charts or not is_unit_ideal(charts):
+            if not is_unit_ideal(charts):
                 witness = (f"chart {c}: cone ({self.fan.labels[i]}, "
                            f"{self.fan.labels[j]})")
                 return NondegeneracyVerdict("degenerate", witness=witness)

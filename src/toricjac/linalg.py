@@ -82,7 +82,9 @@ def reduce_vector(rows, pivots, vec):
     for row, p in zip(rows, pivots):
         c = v[p]
         if c:
-            v = [a - c * b for a, b in zip(v, row)]
+            for k, b in enumerate(row):
+                if b:
+                    v[k] -= c * b
     return v
 
 

@@ -1,0 +1,332 @@
+"""The chart nondegeneracy decision against a copy of its first version.
+
+The reference below is the Buchberger engine as it stood before its lead
+terms were cached and its pairs queued on a heap, and the decision that
+ran it on the whole ideal of every chart.  The library now computes a
+Groebner basis only on the first chart and checks one boundary ideal, in
+one variable, on every later chart; both must give the same status and
+the same witness, and the engine must give the same reduced bases.
+"""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+from conftest import DP7_RAYS, lambda_section
+from toricjac.cox import CoxPolynomial, monomial_basis
+from toricjac.divisors import TorusDivisor
+from toricjac.fan import builtin_surface, fan_from_json
+from toricjac.groebner import groebner_basis, is_unit_ideal
+from toricjac.jacobian import JacobianSystem
+
+
+def _key(m):
+    return (m[0] + m[1], m[0])
+
+
+def _lt(f):
+    m = max(f, key=_key)
+    return m, f[m]
+
+
+def _content_normalize(f):
+    if not f:
+        return {}
+    g = 0
+    for c in f.values():
+        g = gcd(g, abs(c))
+    _, lc = _lt(f)
+    if lc < 0:
+        g = -g
+    return {m: c // g for m, c in f.items()}
+
+
+def _divides(a, b):
+    return a[0] <= b[0] and a[1] <= b[1]
+
+
+def _lcm_mono(a, b):
+    return (max(a[0], b[0]), max(a[1], b[1]))
+
+
+def _shift_mul(f, mono, c):
+    return {(m[0] + mono[0], m[1] + mono[1]): c * v for m, v in f.items()}
+
+
+def _add(f, g):
+    out = dict(f)
+    for m, c in g.items():
+        s = out.get(m, 0) + c
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+    return out
+
+
+def ref_to_int_poly(terms):
+    """Clear denominators of a {mono: Fraction} dict; scaling keeps the ideal."""
+    if not terms:
+        return {}
+    denom = 1
+    for c in terms.values():
+        c = Fraction(c)
+        denom = denom * c.denominator // gcd(denom, c.denominator)
+    out = {}
+    for m, c in terms.items():
+        c = Fraction(c) * denom
+        if c:
+            out[tuple(m)] = int(c)
+    return _content_normalize(out)
+
+
+def ref_reduce_poly(f, gens):
+    """Normal form of f modulo gens, up to a positive rational factor.
+
+    Integer pseudo-reduction: when a lead term is cancelled both the work
+    polynomial and the accumulated remainder are scaled by the same
+    multiplier, then the pair is stripped of common content.
+    """
+    rem = {}
+    p = dict(f)
+    while p:
+        lm, lc = _lt(p)
+        hit = None
+        for g in gens:
+            gm, gc = _lt(g)
+            if _divides(gm, lm):
+                hit = (g, gm, gc)
+                break
+        if hit is None:
+            rem[lm] = lc
+            del p[lm]
+            continue
+        g, gm, gc = hit
+        l = abs(lc * gc) // gcd(abs(lc), abs(gc))
+        a = l // abs(lc)
+        sign = 1 if (lc > 0) == (gc > 0) else -1
+        b = sign * (l // abs(gc))
+        p = _add({m: a * c for m, c in p.items()},
+                 _shift_mul(g, (lm[0] - gm[0], lm[1] - gm[1]), -b))
+        if rem:
+            rem = {m: a * c for m, c in rem.items()}
+        cont = 0
+        for c in p.values():
+            cont = gcd(cont, abs(c))
+        for c in rem.values():
+            cont = gcd(cont, abs(c))
+        if cont > 1:
+            p = {m: c // cont for m, c in p.items()}
+            rem = {m: c // cont for m, c in rem.items()}
+    return _content_normalize(rem)
+
+
+def ref_s_polynomial(f, g):
+    fm, fc = _lt(f)
+    gm, gc = _lt(g)
+    lm = _lcm_mono(fm, gm)
+    l = abs(fc * gc) // gcd(abs(fc), abs(gc))
+    a = (l // fc if fc > 0 else -(l // -fc))
+    b = (l // gc if gc > 0 else -(l // -gc))
+    s = _add(_shift_mul(f, (lm[0] - fm[0], lm[1] - fm[1]), a),
+             _shift_mul(g, (lm[0] - gm[0], lm[1] - gm[1]), -b))
+    return _content_normalize(s)
+
+
+def ref_groebner_basis(polys):
+    """Reduced Groebner basis (graded lex, x > y), each element primitive."""
+    G = []
+    for f in polys:
+        f = ref_to_int_poly(f)
+        if f:
+            G.append(f)
+    if not G:
+        return []
+    lead = [_lt(g)[0] for g in G]
+    pending = {(i, j) for i in range(len(G)) for j in range(i)}
+    while pending:
+        i, j = min(pending,
+                   key=lambda p: (_key(_lcm_mono(lead[p[0]], lead[p[1]])), p))
+        pending.discard((i, j))
+        li, lj = lead[i], lead[j]
+        lcm = _lcm_mono(li, lj)
+        # product criterion: coprime lead monomials give a trivial pair
+        if lcm == (li[0] + lj[0], li[1] + lj[1]):
+            continue
+        # chain criterion: a third element dividing the lcm whose pairs with
+        # both i and j were already treated makes this pair redundant
+        skip = False
+        for k in range(len(G)):
+            if k in (i, j):
+                continue
+            if _divides(lead[k], lcm):
+                pik = (max(i, k), min(i, k))
+                pjk = (max(j, k), min(j, k))
+                if pik not in pending and pjk not in pending:
+                    skip = True
+                    break
+        if skip:
+            continue
+        r = ref_reduce_poly(ref_s_polynomial(G[i], G[j]), G)
+        if not r:
+            continue
+        G.append(r)
+        lead.append(_lt(r)[0])
+        t = len(G) - 1
+        pending.update((t, k) for k in range(t))
+        if _lt(r)[0] == (0, 0):
+            break
+    # minimize: drop elements whose lead is divisible by another lead
+    keep = []
+    for i, g in enumerate(G):
+        li = _lt(g)[0]
+        if any(_divides(_lt(G[j])[0], li) for j in range(len(G)) if j != i
+               and (_lt(G[j])[0] != li or j < i)):
+            continue
+        keep.append(g)
+    # interreduce tails
+    reduced = []
+    for i, g in enumerate(keep):
+        others = keep[:i] + keep[i + 1:]
+        r = ref_reduce_poly(g, others) if others else _content_normalize(g)
+        if r:
+            reduced.append(r)
+    reduced.sort(key=lambda g: _key(_lt(g)[0]))
+    return reduced
+
+
+def ref_is_unit_ideal(polys):
+    """Whether the given polynomials generate the whole ring."""
+    for f in polys:
+        f = ref_to_int_poly(f)
+        if f and _lt(f)[0] == (0, 0):
+            return True
+    gb = ref_groebner_basis(polys)
+    return len(gb) == 1 and _lt(gb[0])[0] == (0, 0)
+
+
+def ref_decide(sys_):
+    """(status, witness) of the whole-chart decision on every chart."""
+    fan = sys_.fan
+    for c, (i, j) in enumerate(fan.maximal_cones):
+        charts = []
+        for g in sys_.euler_terms:
+            chart = {}
+            for e, coeff in g.terms.items():
+                m = (e[i], e[j])
+                s = chart.get(m, 0) + coeff
+                if s:
+                    chart[m] = s
+                else:
+                    chart.pop(m, None)
+            if chart:
+                charts.append(chart)
+        if not charts or not ref_is_unit_ideal(charts):
+            return "degenerate", f"chart {c}: cone ({fan.labels[i]}, {fan.labels[j]})"
+    return "nondegenerate", None
+
+
+def decide(sys_):
+    verdict = sys_.nondegenerate_decide()
+    return verdict.status, verdict.witness
+
+
+def surfaces():
+    return [builtin_surface("p2"), builtin_surface("p1xp1"),
+            builtin_surface("hirzebruch:1"), builtin_surface("hirzebruch:2"),
+            fan_from_json({"rays": DP7_RAYS})]
+
+
+# (surface, divisor) of the dense sections
+DENSE = ((builtin_surface("p2"), (3, 0, 0)),
+         (builtin_surface("p1xp1"), (3, 3, 0, 0)),
+         (builtin_surface("hirzebruch:1"), (4, 2, 0, 0)),
+         (fan_from_json({"rays": DP7_RAYS}), (2, 2, 2, 0, 0)))
+
+
+def test_lambda_family_matches_reference():
+    fan = builtin_surface("p1xp1")
+    for lam in range(-6, 7):
+        sys_ = JacobianSystem(fan, lambda_section(fan, lam))
+        assert decide(sys_) == ref_decide(sys_), lam
+
+
+def test_random_sparse_sections_match_reference():
+    rng = random.Random(2024)
+    witnessed = set()
+    nondegenerate = done = 0
+    while done < 250:
+        fan = rng.choice(surfaces())
+        D = TorusDivisor(tuple(rng.randint(0, 2) for _ in range(fan.n)))
+        basis = monomial_basis(fan, D)
+        if not basis:
+            continue
+        picks = rng.sample(basis, min(len(basis), rng.randint(1, 4)))
+        f = CoxPolynomial(fan, {e: rng.choice((-3, -2, -1, 1, 2, 3)) for e in picks})
+        sys_ = JacobianSystem(fan, f)
+        got = decide(sys_)
+        assert got == ref_decide(sys_), (fan.rays, f.to_text())
+        if got[1]:
+            witnessed.add(int(got[1].split(":")[0].split()[1]))
+        else:
+            nondegenerate += 1
+        done += 1
+    # witnesses at every chart position: degeneracies that only a later
+    # chart's boundary check can find
+    assert witnessed == {0, 1, 2, 3, 4} and nondegenerate
+
+
+def test_dense_sections_match_reference():
+    rng = random.Random(7)
+    coeffs = [k for k in range(-9, 10) if k]
+    for fan, D in DENSE:
+        basis = monomial_basis(fan, TorusDivisor(D))
+        f = CoxPolynomial(fan, {e: rng.choice(coeffs) for e in basis})
+        sys_ = JacobianSystem(fan, f)
+        assert decide(sys_) == ref_decide(sys_) == ("nondegenerate", None)
+
+
+def test_boundary_singularities_match_reference():
+    # A dense section whose restriction to the curve x_rho = 0 has a double
+    # root away from the torus-fixed points is singular there and nowhere
+    # else: the witness is the first chart that contains the curve, with
+    # rho as either of its two coordinates.
+    rng = random.Random(11)
+    coeffs = [k for k in range(-9, 10) if k]
+    seen = set()
+    for fan, D in DENSE:
+        basis = monomial_basis(fan, TorusDivisor(D))
+        for rho in range(fan.n):
+            edge = sorted(e for e in basis if not e[rho])
+            if len(edge) < 3:
+                continue
+            q = [rng.choice(coeffs) for _ in range(len(edge) - 2)]
+            on_edge = [0] * len(edge)      # (t - 1)^2 * q(t), along the edge
+            for k, c in enumerate(q):
+                for d, b in enumerate((1, -2, 1)):
+                    on_edge[k + d] += b * c
+            terms = {e: rng.choice(coeffs) for e in basis}
+            terms.update(zip(edge, on_edge))
+            sys_ = JacobianSystem(fan, CoxPolynomial(fan, terms))
+            c = min(k for k, cone in enumerate(fan.maximal_cones) if rho in cone)
+            i, j = fan.maximal_cones[c]
+            want = ("degenerate", f"chart {c}: cone ({fan.labels[i]}, {fan.labels[j]})")
+            assert decide(sys_) == ref_decide(sys_) == want, (fan.rays, rho)
+            seen.add(fan.maximal_cones[c].index(rho))
+    assert seen == {0, 1}
+
+
+def random_poly(rng, max_deg=3, nterms=4):
+    f = {}
+    for _ in range(rng.randint(1, nterms)):
+        m = (rng.randint(0, max_deg), rng.randint(0, max_deg))
+        f[m] = f.get(m, 0) + Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    return {m: c for m, c in f.items() if c}
+
+
+def test_groebner_basis_matches_reference():
+    rng = random.Random(99)
+    for _ in range(300):
+        polys = [random_poly(rng) for _ in range(rng.randint(1, 4))]
+        assert groebner_basis(polys) == ref_groebner_basis(polys), polys
+        assert is_unit_ideal(polys) == ref_is_unit_ideal(polys), polys

@@ -3,10 +3,18 @@ from fractions import Fraction
 
 import sympy
 
-from toricjac.groebner import (groebner_basis, ideal_contains, is_unit_ideal,
-                               reduce_poly, s_polynomial, to_int_poly)
+from toricjac.groebner import (groebner_basis, is_unit_ideal, reduce_poly,
+                               s_polynomial, to_int_poly)
 
 X, Y = sympy.symbols("x y")
+
+
+def ideal_contains(polys, f):
+    """Membership of f in the ideal generated by polys."""
+    gb = groebner_basis(polys)
+    if not gb:
+        return not to_int_poly(f)
+    return not reduce_poly(to_int_poly(f), gb)
 
 
 def to_sympy(f):

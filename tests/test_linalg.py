@@ -80,6 +80,29 @@ def test_reduce_vector_membership():
     assert any(reduce_vector(rows, pivots, outside))
 
 
+def test_reduce_vector_matches_dense_reference():
+    # reference: the residual by whole-row updates, zero cells included
+    def dense_reduce(rows, pivots, vec):
+        v = [Fraction(x) for x in vec]
+        for row, p in zip(rows, pivots):
+            c = v[p]
+            if c:
+                v = [a - c * b for a, b in zip(v, row)]
+        return v
+
+    rng = random.Random(13)
+    for _ in range(300):
+        nrows, ncols = rng.randint(0, 6), rng.randint(1, 8)
+        mat = [[x if rng.random() < 0.5 else F(0) for x in row]
+               for row in random_matrix(rng, nrows, ncols)]
+        rows, pivots = rref(mat, ncols)
+        vec = rng.choice([[rng.randint(-5, 5) for _ in range(ncols)],
+                          random_matrix(rng, 1, ncols)[0]])
+        got = reduce_vector(rows, pivots, vec)
+        assert got == dense_reduce(rows, pivots, vec)
+        assert all(isinstance(x, Fraction) for x in got)
+
+
 def test_kernel_annihilates_rows():
     rng = random.Random(7)
     for _ in range(25):

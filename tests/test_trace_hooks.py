@@ -34,5 +34,7 @@ def test_spans_install_traces_a_readme_command(monkeypatch):
     names = {span.name for span in tracer.spans}
     assert {"cli.main", "criterion.find_rank_g_deformation", "linalg.rref",
             "linalg.kernel", "linalg.rank", "linalg.reduce_vector",
-            "jacobian.j1_piece", "jacobian.multiplication_matrix"} <= names
+            "jacobian.j1_piece", "jacobian.multiplication_matrix",
+            "groebner.is_unit_ideal", "groebner.reduce_poly",
+            "groebner.s_polynomial"} <= names
     assert not hasattr(toricjac.cli.main, "__wrapped__")
