@@ -41,7 +41,7 @@ class CoxPolynomial:
 
     __slots__ = ("fan", "terms")
 
-    def __init__(self, fan, terms=None, expect_class=None):
+    def __init__(self, fan, terms=None):
         self.fan = fan
         clean = {}
         for exps, c in (terms or {}).items():
@@ -55,10 +55,6 @@ class CoxPolynomial:
                 raise InputError(f"negative exponent in {exps}")
             clean[exps] = c
         self.terms = clean
-        if expect_class is not None:
-            got = self.homogeneous_class()
-            if got is not None and got != expect_class:
-                raise InputError("polynomial is not homogeneous of the declared class")
 
     @classmethod
     def zero(cls, fan):
@@ -148,14 +144,11 @@ class CoxPolynomial:
             return NotImplemented
         return self.fan.rays == other.fan.rays and self.terms == other.terms
 
-    def shift(self, exps, coeff=1):
-        """Multiply by coeff * (monomial with the given exponents)."""
+    def shift(self, exps):
+        """Multiply by the monomial with the given exponents."""
         exps = tuple(exps)
-        coeff = Fraction(coeff)
-        if not coeff:
-            return CoxPolynomial.zero(self.fan)
         return CoxPolynomial(self.fan, {
-            tuple(a + b for a, b in zip(e, exps)): c * coeff
+            tuple(a + b for a, b in zip(e, exps)): c
             for e, c in self.terms.items()})
 
     def partial(self, i):

@@ -120,30 +120,15 @@ def intersect(fan, D, E):
 
     Distinct rays meet once when adjacent and never otherwise; the
     diagonal entries are the self-intersection numbers from the wall
-    relations.
+    relations, so D.E = sum_i d_i (s_i e_i + e_{i-1} + e_{i+1}).
     """
     _check_len(fan, D)
     _check_len(fan, E)
     n = fan.n
-    diag = fan.self_intersections()
-    total = 0
-    for i in range(n):
-        di = D.coeffs[i]
-        if not di:
-            continue
-        for j in range(n):
-            ej = E.coeffs[j]
-            if not ej:
-                continue
-            if i == j:
-                t = diag[i]
-            elif (j - i) % n == 1 or (i - j) % n == 1:
-                t = 1
-            else:
-                t = 0
-            if t:
-                total += di * ej * t
-    return total
+    s = fan.self_intersections()
+    e = E.coeffs
+    return sum(d * (s[i] * e[i] + e[i - 1] + e[(i + 1) % n])
+               for i, d in enumerate(D.coeffs))
 
 
 def is_ample(fan, D):

@@ -40,12 +40,12 @@ def _sorted_order(rays):
     return idx
 
 
-def validate(rays, assume_normalized=False):
+def validate(rays):
     """Check the surface-fan invariants for a ray list.
 
     Returns a list of human-readable diagnostics, empty exactly when the
-    rays define a complete smooth toric surface.  Unless assume_normalized
-    is set the rays are sorted counterclockwise before the cone checks.
+    rays define a complete smooth toric surface.  The rays are sorted
+    counterclockwise before the cone checks.
     """
     rays = [tuple(u) for u in rays]
     problems = []
@@ -70,7 +70,7 @@ def validate(rays, assume_normalized=False):
             seen[u] = i
     if problems:
         return problems
-    order = list(range(len(rays))) if assume_normalized else _sorted_order(rays)
+    order = _sorted_order(rays)
     n = len(order)
     for k in range(n):
         i, j = order[k], order[(k + 1) % n]
@@ -80,10 +80,6 @@ def validate(rays, assume_normalized=False):
         if d > 1:
             problems.append(
                 f"non-unimodular cone on rays {rays[i]}, {rays[j]} (det {d})")
-        elif assume_normalized and d <= 0:
-            problems.append(
-                f"wrong orientation: rays {rays[i]}, {rays[j]} are not in "
-                f"counterclockwise order (det {d})")
         else:
             problems.append(
                 f"incomplete fan: rays {rays[i]}, {rays[j]} leave an angular "

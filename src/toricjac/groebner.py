@@ -1,6 +1,7 @@
 """Buchberger engine for polynomials in two variables over the integers.
 
-Used to decide whether a chart ideal is the unit ideal.  Monomials are
+It decides whether a chart ideal is the unit ideal, and returns no
+Groebner basis: the loop stops at the first constant.  Monomials are
 pairs (i, j) ordered by graded lex with x > y; polynomials are dicts from
 monomials to integers, kept content-free with a positive leading
 coefficient.  Both classical pair criteria are applied.  Lead terms are
@@ -134,15 +135,21 @@ def s_polynomial(f, g):
     return _content_normalize(s)
 
 
-def groebner_basis(polys):
-    """Reduced Groebner basis (graded lex, x > y), each element primitive."""
+def is_unit_ideal(polys):
+    """Whether the given polynomials generate the whole ring.
+
+    Buchberger's algorithm, stopped as soon as an input or a new remainder
+    is a nonzero constant: a unit ideal has a constant in every Groebner
+    basis, and the basis only grows, so one appears exactly when the
+    ideal is the unit ideal.  An empty pair queue means it is not.
+    """
     G = []
     for f in polys:
         f = to_int_poly(f)
         if f:
+            if _lt(f)[0] == (0, 0):
+                return True
             G.append(f)
-    if not G:
-        return []
     lead = [_lt(g)[0] for g in G]
     pending = set()
     queue = []
@@ -182,31 +189,6 @@ def groebner_basis(polys):
         G.append(r)
         lead.append(_lt(r)[0])
         if lead[-1] == (0, 0):
-            break
-        add_pairs(len(G) - 1)
-    # minimize: drop elements whose lead is divisible by another lead
-    keep = []
-    for i, li in enumerate(lead):
-        if any(_divides(lj, li) for j, lj in enumerate(lead) if j != i
-               and (lj != li or j < i)):
-            continue
-        keep.append(G[i])
-    # interreduce tails
-    reduced = []
-    for i, g in enumerate(keep):
-        others = keep[:i] + keep[i + 1:]
-        r = reduce_poly(g, others) if others else _content_normalize(g)
-        if r:
-            reduced.append(r)
-    reduced.sort(key=lambda g: _key(_lt(g)[0]))
-    return reduced
-
-
-def is_unit_ideal(polys):
-    """Whether the given polynomials generate the whole ring."""
-    for f in polys:
-        f = to_int_poly(f)
-        if f and _lt(f)[0] == (0, 0):
             return True
-    gb = groebner_basis(polys)
-    return len(gb) == 1 and _lt(gb[0])[0] == (0, 0)
+        add_pairs(len(G) - 1)
+    return False

@@ -11,6 +11,7 @@ the rows whose pivots lie in C.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 from .cox import CoxPolynomial, monomial_basis
@@ -45,45 +46,24 @@ class GradedSubspace:
         """The column of each ambient monomial."""
         return {e: k for k, e in enumerate(self.ambient)}
 
-    def index_of(self, exps):
-        try:
-            return self.columns[tuple(exps)]
-        except KeyError:
-            raise InputError(f"monomial {exps} is not in this graded piece") from None
+    def residual(self, terms):
+        """Residual {column: Fraction} of a polynomial modulo this piece.
 
-    def vector_of(self, poly):
-        """Coordinates of a polynomial that lives in this graded piece."""
-        vec = [0] * len(self.ambient)
-        for e, c in poly.terms.items():
-            vec[self.index_of(e)] = c
-        return vec
-
-    def reduce(self, vec):
+        terms maps exponent tuples to coefficients; the residual is empty
+        exactly when the polynomial lies in the piece.
+        """
+        vec = {}
+        for e, c in terms.items():
+            try:
+                vec[self.columns[e]] = c
+            except KeyError:
+                raise InputError(f"monomial {e} is not in this graded piece") from None
         return linalg.reduce_vector(self.rows, self.pivots, vec)
-
-    def contains_vector(self, vec):
-        return not any(self.reduce(vec))
-
-    def contains(self, poly):
-        return self.contains_vector(self.vector_of(poly))
 
     def coset_monomials(self):
         """Non-pivot monomials; their cosets are a basis of the quotient."""
         pivset = set(self.pivots)
         return tuple(e for k, e in enumerate(self.ambient) if k not in pivset)
-
-    def reduce_unit(self, k):
-        """Residual of the k-th ambient basis vector, computed cheaply."""
-        for row, p in zip(self.rows, self.pivots):
-            if p == k:
-                v = [-x for x in row]
-                v[k] += 1
-                return v
-            if p > k:
-                break
-        v = [0] * len(self.ambient)
-        v[k] = 1
-        return v
 
     def to_dict(self):
         return {
@@ -307,17 +287,12 @@ class JacobianSystem:
                 products.add(tuple(exps))
             ok = True
             for exps in sorted(products):
-                piece = self.j0_piece(TorusDivisor(exps))
-                if any(piece.reduce_unit(piece.index_of(exps))):
+                if self.j0_piece(TorusDivisor(exps)).residual({exps: 1}):
                     ok = False
                     break
             if ok:
                 return NondegeneracyVerdict("certified", k=k)
         return NondegeneracyVerdict("undetermined", k=k_max)
-
-    def _coset_data(self, D):
-        piece = self.j1_piece(D)
-        return piece, piece.coset_monomials()
 
     def pairing_matrix(self, Da, Db):
         """Multiplication pairing R1_a x R1_b -> R1_top on coset monomials.
@@ -334,18 +309,16 @@ class JacobianSystem:
         top = Da + Db
         if self.r1_dim(top) != 1:
             raise InputError("the top graded piece of the quotient ring is not a line")
-        tpiece, tcosets = self._coset_data(top)
-        tgen = tcosets[0]
-        tpos = tpiece.columns[tgen]
-        _, acosets = self._coset_data(Da)
-        _, bcosets = self._coset_data(Db)
+        tpiece = self.j1_piece(top)
+        tpos = tpiece.columns[tpiece.coset_monomials()[0]]
+        acosets = self.j1_piece(Da).coset_monomials()
+        bcosets = self.j1_piece(Db).coset_monomials()
         matrix = []
         for ea in acosets:
             row = []
             for eb in bcosets:
                 prod = tuple(a + b for a, b in zip(ea, eb))
-                red = tpiece.reduce_unit(tpiece.columns[prod])
-                row.append(red[tpos])
+                row.append(tpiece.residual({prod: 1}).get(tpos, 0))
             matrix.append(row)
         return matrix
 
@@ -356,14 +329,13 @@ class JacobianSystem:
             want = pic_class(self.fan, D_to)
             if ec + pic_class(self.fan, D_from) != want:
                 raise InputError("class(eta) + class(source) != class(target)")
-        fpiece, fcosets = self._coset_data(D_from)
-        tpiece, tcosets = self._coset_data(D_to)
-        tsel = [tpiece.columns[e] for e in tcosets]
+        fcosets = self.j1_piece(D_from).coset_monomials()
+        tpiece = self.j1_piece(D_to)
+        tsel = [tpiece.columns[e] for e in tpiece.coset_monomials()]
         matrix = []
         for e in fcosets:
-            prod = eta.shift(e)
-            red = tpiece.reduce(tpiece.vector_of(prod))
-            matrix.append([red[k] for k in tsel])
+            red = tpiece.residual(eta.shift(e).terms)
+            matrix.append([red.get(k, Fraction(0)) for k in tsel])
         return matrix
 
     def multiplication_rank(self, eta, D_from, D_to):

@@ -1,9 +1,10 @@
 """Exact rational linear algebra.
 
-Matrices come in and go out as dense rows of rationals.  rref, the one
-elimination loop, works inside on sparse fraction-free rows (a dict from
-column to integer, divided by its content) and converts to Fractions only
-when it builds its result.
+Matrices come in as rows of rationals, and rref returns dense rows of
+Fractions.  rref, the one elimination loop, works inside on sparse
+fraction-free rows (a dict from column to integer, divided by its
+content) and converts to Fractions only when it builds its result.
+reduce_vector takes and returns sparse vectors, {column: value}.
 """
 
 from fractions import Fraction
@@ -77,14 +78,21 @@ def rank(rows, ncols):
 
 
 def reduce_vector(rows, pivots, vec):
-    """Residual of vec modulo the span of RREF rows (zero iff member)."""
-    v = [Fraction(x) for x in vec]
+    """Residual {column: Fraction} of a sparse vec modulo the span of RREF rows.
+
+    The residual is empty exactly when vec lies in the span.
+    """
+    v = {c: Fraction(x) for c, x in vec.items() if x}
     for row, p in zip(rows, pivots):
-        c = v[p]
+        c = v.get(p)
         if c:
             for k, b in enumerate(row):
                 if b:
-                    v[k] -= c * b
+                    y = v.get(k, 0) - c * b
+                    if y:
+                        v[k] = y
+                    else:
+                        del v[k]
     return v
 
 

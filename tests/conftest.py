@@ -8,6 +8,7 @@ value exists, cross-checked against it.
 
 import contextlib
 import io
+from fractions import Fraction
 
 import pytest
 
@@ -56,10 +57,24 @@ def j1_dim_brute(sys_, D):
     target = sys_.j0_piece(D - canonical_divisor(fan))
     residuals = []
     for e in amb:
-        vec = [0] * target.ambient_dim
-        vec[target.index_of(tuple(a + 1 for a in e))] = 1
-        residuals.append(target.reduce(vec))
+        red = target.residual({tuple(a + 1 for a in e): 1})
+        residuals.append([red.get(k, 0) for k in range(target.ambient_dim)])
     return len(amb) - rank(residuals, target.ambient_dim)
+
+
+def row_terms(ambient, row):
+    """A dense coordinate row as {exponents: coefficient}."""
+    return {e: c for e, c in zip(ambient, row) if c}
+
+
+def dense_reduce(rows, pivots, vec):
+    """Reference residual of a dense vec by whole-row updates, zero cells included."""
+    v = [Fraction(x) for x in vec]
+    for row, p in zip(rows, pivots):
+        c = v[p]
+        if c:
+            v = [a - c * b for a, b in zip(v, row)]
+    return v
 
 
 def run_cli(argv):

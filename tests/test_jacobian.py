@@ -10,12 +10,13 @@ from toricjac.fan import builtin_surface
 from toricjac.jacobian import JacobianSystem
 from toricjac import linalg
 
-from conftest import H2_TRIGONAL, TRIGONAL_D5, j1_dim_brute, lambda_section
+from conftest import (H2_TRIGONAL, TRIGONAL_D5, dense_reduce, j1_dim_brute,
+                      lambda_section, row_terms)
 
 
 def subspace_leq(small, big):
     assert small.ambient == big.ambient
-    return all(big.contains_vector(list(row)) for row in small.rows)
+    return not any(big.residual(row_terms(small.ambient, row)) for row in small.rows)
 
 
 def test_constructor_validation(h1):
@@ -52,17 +53,35 @@ def test_beta_divisor_inferred_from_first_monomial(s5, h1):
 def test_j0_contains_euler_terms(s5):
     piece = s5.j0_piece(s5.beta_divisor)
     for term in s5.euler_terms:
-        assert piece.contains(term)
+        assert not piece.residual(term.terms)
     assert piece.ambient_dim == 18
     assert len(piece.coset_monomials()) == 15
 
 
-def test_reduce_unit_matches_reduce(s5):
+def test_residual_of_monomial_matches_dense_reduction(s5, h1):
+    beta = s5.beta_divisor
+    K = canonical_divisor(h1)
+    rational = JacobianSystem(h1, poly_from_text(
+        h1, "1/2*x1^5*x2^3 + 3/7*x3^2*x4^3 - 5/3*x3^5*x2^3 + x1^2*x4^3"
+            " + 2/5*x1^3*x2^2*x3*x4"))
+    pieces = [s5.j0_piece(beta), s5.j1_piece(beta), s5.j_piece(2 * beta + K),
+              s5.j1_piece(2 * beta + 2 * K), rational.j1_piece(beta),
+              rational.j0_piece(2 * beta + K)]
+    for piece in pieces:
+        for k, e in enumerate(piece.ambient):
+            unit = [0] * piece.ambient_dim
+            unit[k] = 1
+            red = piece.residual({e: 1})
+            assert all(isinstance(x, Fraction) and x for x in red.values())
+            dense = [red.get(c, Fraction(0)) for c in range(piece.ambient_dim)]
+            assert dense == dense_reduce(piece.rows, piece.pivots, unit)
+
+
+def test_residual_rejects_monomial_outside_the_piece(s5):
     piece = s5.j1_piece(s5.beta_divisor)
-    for k in (0, 3, 11):
-        vec = [Fraction(0)] * piece.ambient_dim
-        vec[k] = Fraction(1)
-        assert list(piece.reduce_unit(k)) == list(piece.reduce(vec))
+    outside = tuple(a + 1 for a in piece.ambient[0])
+    with pytest.raises(InputError, match="is not in this graded piece"):
+        piece.residual({outside: 1})
 
 
 def test_containments_j0_j_j1(s5, h1):
@@ -79,8 +98,8 @@ def test_containments_j0_j_j1(s5, h1):
 
 
 def test_f_lies_in_its_own_ideals(s5):
-    assert s5.j0_piece(s5.beta_divisor).contains(s5.f)
-    assert s5.j1_piece(s5.beta_divisor).contains(s5.f)
+    assert not s5.j0_piece(s5.beta_divisor).residual(s5.f.terms)
+    assert not s5.j1_piece(s5.beta_divisor).residual(s5.f.terms)
 
 
 def test_nondegeneracy_lambda_family(p1xp1):
@@ -214,10 +233,9 @@ def assert_j1_rows_fixed(sys_, D):
     j1 = sys_.j1_piece(D)
     j0 = sys_.j0_piece(D - canonical_divisor(sys_.fan))
     for row in j1.rows:
-        vec = [0] * j0.ambient_dim
-        for e, c in zip(j1.ambient, row):
-            vec[j0.index_of(tuple(a + 1 for a in e))] = c
-        assert j0.contains_vector(vec)
+        shifted = {tuple(a + 1 for a in e): c
+                   for e, c in row_terms(j1.ambient, row).items()}
+        assert not j0.residual(shifted)
     assert j1.dim == j1_dim_brute(sys_, D)
 
 

@@ -6,6 +6,8 @@ from toricjac.divisors import canonical_divisor, divisor_from_labels
 from toricjac.jacobian import JacobianSystem
 from toricjac.linalg import kernel, rank, reduce_vector, rref
 
+from conftest import dense_reduce
+
 
 def F(x):
     return Fraction(x)
@@ -74,22 +76,13 @@ def test_rank_simple():
 
 def test_reduce_vector_membership():
     rows, pivots = rref([[F(1), F(1), F(0)], [F(0), F(1), F(1)]], 3)
-    inside = [F(2), F(3), F(1)]          # 2*(r1) + 1*(r2) in the original span
-    outside = [F(0), F(0), F(5)]
-    assert not any(reduce_vector(rows, pivots, inside))
-    assert any(reduce_vector(rows, pivots, outside))
+    inside = {0: F(2), 1: F(3), 2: F(1)}  # 2*(r1) + 1*(r2) in the original span
+    outside = {2: F(5)}
+    assert reduce_vector(rows, pivots, inside) == {}
+    assert reduce_vector(rows, pivots, outside) == {2: F(5)}
 
 
 def test_reduce_vector_matches_dense_reference():
-    # reference: the residual by whole-row updates, zero cells included
-    def dense_reduce(rows, pivots, vec):
-        v = [Fraction(x) for x in vec]
-        for row, p in zip(rows, pivots):
-            c = v[p]
-            if c:
-                v = [a - c * b for a, b in zip(v, row)]
-        return v
-
     rng = random.Random(13)
     for _ in range(300):
         nrows, ncols = rng.randint(0, 6), rng.randint(1, 8)
@@ -98,9 +91,10 @@ def test_reduce_vector_matches_dense_reference():
         rows, pivots = rref(mat, ncols)
         vec = rng.choice([[rng.randint(-5, 5) for _ in range(ncols)],
                           random_matrix(rng, 1, ncols)[0]])
-        got = reduce_vector(rows, pivots, vec)
-        assert got == dense_reduce(rows, pivots, vec)
-        assert all(isinstance(x, Fraction) for x in got)
+        got = reduce_vector(rows, pivots, {k: x for k, x in enumerate(vec) if x})
+        assert all(isinstance(x, Fraction) and x for x in got.values())
+        dense = [got.get(k, Fraction(0)) for k in range(ncols)]
+        assert dense == dense_reduce(rows, pivots, vec)
 
 
 def test_kernel_annihilates_rows():
@@ -151,7 +145,12 @@ def j0_product_matrices(sys_, D):
     """The J0 products at class(D) in ambient order and in reversed order."""
     piece = sys_.j0_piece(D)
     n = piece.ambient_dim
-    rows = [piece.vector_of(p) for p in sys_._j0_products(D)]
+    rows = []
+    for p in sys_._j0_products(D):
+        row = [0] * n
+        for e, c in p.terms.items():
+            row[piece.columns[e]] = c
+        rows.append(row)
     return [(rows, n), ([row[::-1] for row in rows], n)]
 
 
