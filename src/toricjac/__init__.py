@@ -9,7 +9,7 @@ maximal rank g.
 from .errors import InputError, InternalError
 from .fan import (Fan, build_hirzebruch, build_p2, builtin_surface,
                   fan_from_json, validate)
-from .divisors import (TorusDivisor, PicClass, LatticePolytope,
+from .divisors import (TorusDivisor, PicClass,
                        canonical_divisor, divisor_from_labels,
                        euler_characteristic, genus, h0, intersect, is_ample,
                        pic_class, polytope, principal_divisor, ray_divisor,
@@ -28,7 +28,7 @@ __all__ = [
     "InputError", "InternalError",
     "Fan", "build_hirzebruch", "build_p2", "builtin_surface", "fan_from_json",
     "validate",
-    "TorusDivisor", "PicClass", "LatticePolytope", "canonical_divisor",
+    "TorusDivisor", "PicClass", "canonical_divisor",
     "divisor_from_labels", "euler_characteristic", "genus", "h0", "intersect",
     "is_ample", "pic_class", "polytope", "principal_divisor", "ray_divisor",
     "representative",

@@ -32,12 +32,13 @@ def _build_parser():
                        help="builtin surface: hirzebruch:r, p2, or p1xp1")
         p.add_argument("--fan-file", help="JSON file with rays and labels")
 
-    def add_class(p):
+    def add_class(p, class_of=False):
         p.add_argument("--class", dest="class_arg", metavar="COORDS",
                        help="divisor class; on Hirzebruch surfaces 'a,b' "
                             "means a*D1 + b*D2")
-        p.add_argument("--class-of", dest="class_of", metavar="EXPR",
-                       help="class expression in beta and K, e.g. 2beta+2K")
+        if class_of:
+            p.add_argument("--class-of", dest="class_of", metavar="EXPR",
+                           help="class expression in beta and K, e.g. 2beta+2K")
 
     def add_poly(p):
         p.add_argument("--poly", help="polynomial expression, e.g. x1^5*x2^3+x4")
@@ -53,7 +54,7 @@ def _build_parser():
 
     p = sub.add_parser("basis", help="monomial basis of a graded piece")
     add_surface(p)
-    add_class(p)
+    add_class(p, class_of=True)
     add_poly(p)
     add_json(p)
 
@@ -66,7 +67,7 @@ def _build_parser():
 
     p = sub.add_parser("hilbert", help="dimensions of S, J1 and R1 at a class")
     add_surface(p)
-    add_class(p)
+    add_class(p, class_of=True)
     add_poly(p)
     p.add_argument("--dump-subspaces", action="store_true",
                    help="include the echelon basis of the J1 piece")
@@ -146,9 +147,8 @@ _CLASS_TERM = re.compile(r"([+-]?)(\d*)(beta|K)")
 
 def _resolve_class_of(expr, beta_div, K_div):
     text = expr.replace("β", "beta").replace(" ", "").replace("*", "")
-    pos = 0
-    s = t = 0
-    while pos < len(text):
+    pos = s = t = 0
+    while True:  # at least one term, so a blank expression is refused
         m = _CLASS_TERM.match(text, pos)
         if not m or (pos and not m.group(1)):
             raise InputError(f"cannot parse class expression {expr!r}; "
@@ -160,6 +160,8 @@ def _resolve_class_of(expr, beta_div, K_div):
         else:
             t += coeff
         pos = m.end()
+        if pos == len(text):
+            break
     if s and beta_div is None:
         raise InputError("the class expression mentions beta but no beta is "
                          "available; give --class or --poly")
@@ -192,7 +194,7 @@ def _load_poly(fan, args):
 
 
 def _beta_divisor(fan, kind, args, f=None):
-    if args.class_arg:
+    if args.class_arg is not None:
         D = _divisor_from_class_arg(fan, kind, args.class_arg)
         if f is not None and not f.is_zero():
             if f.homogeneous_class() != pic_class(fan, D):
@@ -246,7 +248,7 @@ def _query_divisor(fan, kind, args):
     if args.poly or args.poly_file:
         f = _load_poly(fan, args)
     beta = _beta_divisor(fan, kind, args, f)
-    if args.class_of:
+    if args.class_of is not None:
         return _resolve_class_of(args.class_of, beta, canonical_divisor(fan)), f, beta
     if beta is None:
         raise InputError("a class is required (--class, --class-of, or --poly)")

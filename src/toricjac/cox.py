@@ -26,7 +26,7 @@ def monomial_basis(fan, D):
     (<m, u_rho> + a_rho)_rho; the result depends only on the class of D.
     """
     out = []
-    for m in polytope(fan, D).points:
+    for m in polytope(fan, D):
         exps = tuple(m[0] * u[0] + m[1] * u[1] + a
                      for u, a in zip(fan.rays, D.coeffs))
         if any(e < 0 for e in exps):
@@ -66,13 +66,6 @@ class CoxPolynomial:
 
     def is_zero(self):
         return not self.terms
-
-    def is_homogeneous(self):
-        try:
-            self.homogeneous_class()
-        except InputError:
-            return False
-        return True
 
     def homogeneous_class(self):
         """Common Picard class of all terms (None for the zero polynomial)."""
@@ -144,24 +137,6 @@ class CoxPolynomial:
             return NotImplemented
         return self.fan.rays == other.fan.rays and self.terms == other.terms
 
-    def shift(self, exps):
-        """Multiply by the monomial with the given exponents."""
-        exps = tuple(exps)
-        return CoxPolynomial(self.fan, {
-            tuple(a + b for a, b in zip(e, exps)): c
-            for e, c in self.terms.items()})
-
-    def partial(self, i):
-        """Exact partial derivative with respect to variable i."""
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            de = list(e)
-            de[i] -= 1
-            terms[tuple(de)] = c * e[i]
-        return CoxPolynomial(self.fan, terms)
-
     def euler_term(self, i):
         """x_i * d/dx_i, which preserves the class of each term."""
         terms = {e: c * e[i] for e, c in self.terms.items() if e[i]}
@@ -205,13 +180,17 @@ def poly_from_json(fan, obj):
     for t in obj["terms"]:
         if not isinstance(t, dict) or "exps" not in t or "coeff" not in t:
             raise InputError("each term needs 'exps' and 'coeff'")
-        exps = t["exps"]
-        if not isinstance(exps, list) or not all(isinstance(x, int) for x in exps):
+        exps, coeff = t["exps"], t["coeff"]
+        # exact type checks: JSON booleans are ints and floats are inexact
+        if not isinstance(exps, list) or not all(type(x) is int for x in exps):
             raise InputError("term 'exps' must be a list of integers")
+        if type(coeff) not in (int, str):
+            raise InputError(f"bad coefficient {coeff!r}; give an integer "
+                             "or a string such as '-3/4'")
         try:
-            c = Fraction(t["coeff"])
-        except (ValueError, ZeroDivisionError, TypeError):
-            raise InputError(f"bad coefficient {t['coeff']!r}") from None
+            c = Fraction(coeff)
+        except (ValueError, ZeroDivisionError):
+            raise InputError(f"bad coefficient {coeff!r}") from None
         e = tuple(exps)
         terms[e] = terms.get(e, 0) + c
     return CoxPolynomial(fan, terms)

@@ -155,17 +155,8 @@ def is_ample(fan, D):
     return True
 
 
-@dataclass(frozen=True)
-class LatticePolytope:
-    """Section polytope {m : <m, u_rho> >= -a_rho} with its lattice points."""
-
-    inequalities: tuple   # ((ux, uy), rhs) meaning ux*mx + uy*my >= rhs
-    vertices: tuple       # rational points, deduplicated and sorted
-    points: tuple         # integer points, sorted
-
-
 def polytope(fan, D):
-    """Compute the (possibly empty) section polytope of D."""
+    """Sorted lattice points of the section polytope {m : <m, u_rho> >= -a_rho}."""
     _check_len(fan, D)
     n = fan.n
     ineqs = tuple((fan.rays[i], -D.coeffs[i]) for i in range(n))
@@ -185,7 +176,6 @@ def polytope(fan, D):
             my = Fraction(ui[0] * bj - uj[0] * bi, d)
             if feasible(mx, my):
                 verts.add((mx, my))
-    verts = tuple(sorted(verts))
     points = []
     if verts:
         xs = [v[0] for v in verts]
@@ -194,12 +184,12 @@ def polytope(fan, D):
             for y in range(ceil(min(ys)), floor(max(ys)) + 1):
                 if feasible(x, y):
                     points.append((x, y))
-    return LatticePolytope(ineqs, verts, tuple(points))
+    return tuple(points)
 
 
 def h0(fan, D):
     """Number of global sections: lattice points of the section polytope."""
-    return len(polytope(fan, D).points)
+    return len(polytope(fan, D))
 
 
 def euler_characteristic(fan, D):

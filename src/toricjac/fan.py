@@ -231,7 +231,7 @@ def fan_from_json(obj):
         raise InputError("fan JSON must be an object with a 'rays' list")
     rays = obj["rays"]
     if not isinstance(rays, list) or not all(
-            isinstance(u, list) and len(u) == 2 and all(isinstance(x, int) for x in u)
+            isinstance(u, list) and len(u) == 2 and all(type(x) is int for x in u)
             for u in rays):
         raise InputError("fan JSON 'rays' must be a list of integer pairs")
     labels = obj.get("labels")

@@ -1,13 +1,14 @@
-"""Graded pieces of toric Jacobian ideals and the quotient-ring pairings.
+"""Graded pieces of toric Jacobian ideals and multiplication maps on quotients.
 
-For a homogeneous f the Euler terms are g_rho = x_rho df/dx_rho.  Three
-ideals matter: J0 = (g_rho), J = (df/dx_rho), and J1 = J0 : (prod x_rho).
-Every graded piece is computed by exact row reduction over the rationals.
-Multiplication by x = prod x_rho maps S_D injectively onto the span C of
-the monomials of class D - K that every variable divides, so
-x * J1_D = J0_{D-K} ∩ C.  One elimination of the J0 products at D - K,
-with the columns outside C ordered first, yields that intersection as
-the rows whose pivots lie in C.
+For a homogeneous f the Euler terms are g_rho = x_rho df/dx_rho.  They
+generate J0; the criterion and the rank-g search read the quotient by
+J1 = J0 : (prod x_rho).  Every graded piece is an exact row reduction over
+the rationals of the products m * g_rho, each written into its row
+straight from the exponents and coefficients of g_rho.  Multiplication by
+x = prod x_rho maps S_D injectively onto the span C of the monomials of
+class D - K that every variable divides, so x * J1_D = J0_{D-K} ∩ C.
+One elimination of the J0 products at D - K, with the columns outside C
+ordered first, yields that intersection as the rows whose pivots lie in C.
 """
 
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .cox import CoxPolynomial, monomial_basis
-from .divisors import TorusDivisor, canonical_divisor, pic_class, ray_divisor
+from .divisors import TorusDivisor, canonical_divisor, pic_class
 from .errors import InputError, InternalError
 from .groebner import is_unit_ideal
 from . import linalg
@@ -73,20 +74,6 @@ class GradedSubspace:
         }
 
 
-def _span(ambient, polys):
-    index = {e: k for k, e in enumerate(ambient)}
-    vectors = []
-    for p in polys:
-        vec = [0] * len(ambient)
-        for e, c in p.terms.items():
-            if e not in index:
-                raise InternalError("product landed outside the expected graded piece")
-            vec[index[e]] = c
-        vectors.append(vec)
-    rows, pivots = linalg.rref(vectors, len(ambient))
-    return GradedSubspace(tuple(ambient), tuple(rows), tuple(pivots))
-
-
 @dataclass(frozen=True)
 class NondegeneracyVerdict:
     """Outcome of a nondegeneracy test.
@@ -113,7 +100,7 @@ class NondegeneracyVerdict:
 
 
 class JacobianSystem:
-    """A homogeneous section f with its Euler terms and graded-piece caches."""
+    """A homogeneous section f with its Euler terms and a cache of graded pieces."""
 
     def __init__(self, fan, f):
         if not isinstance(f, CoxPolynomial):
@@ -125,9 +112,7 @@ class JacobianSystem:
         self.beta_class = f.homogeneous_class()
         self.beta_divisor = TorusDivisor(sorted(f.terms)[0])
         self.euler_terms = tuple(f.euler_term(i) for i in range(fan.n))
-        self.partials = tuple(f.partial(i) for i in range(fan.n))
-        self._basis_cache = {}
-        self._piece_cache = {}
+        self._cache = {}
         self._check_euler_identities()
 
     def _check_euler_identities(self):
@@ -144,48 +129,45 @@ class JacobianSystem:
             if lhs != self.f.scale(const):
                 raise InternalError("Euler identity failed on construction")
 
+    def _cached(self, kind, D, build):
+        """build(D), computed once per kind and class of D."""
+        key = (kind, pic_class(self.fan, D).vec)
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache[key] = build(D)
+        return value
+
     def _basis(self, D):
-        key = pic_class(self.fan, D).vec
-        if key not in self._basis_cache:
-            self._basis_cache[key] = monomial_basis(self.fan, D)
-        return self._basis_cache[key]
+        return self._cached("basis", D, lambda D: monomial_basis(self.fan, D))
 
     def section_dim(self, D):
         return len(self._basis(D))
 
+    def _j0_rows(self, D, order):
+        """The products m * g_rho of class(D) as rows over the monomials in order."""
+        column = {e: k for k, e in enumerate(order)}
+        terms = [tuple(g.terms.items()) for g in self.euler_terms if g.terms]
+        rows = []
+        try:
+            for m in self._basis(D - self.beta_divisor):
+                for g in terms:
+                    row = [0] * len(order)
+                    for e, c in g:
+                        row[column[tuple(a + b for a, b in zip(e, m))]] = c
+                    rows.append(row)
+        except KeyError:
+            raise InternalError("product landed outside the expected graded piece") from None
+        return rows
+
     def j0_piece(self, D):
         """Graded piece of the Euler-term ideal at class(D)."""
-        key = ("j0", pic_class(self.fan, D).vec)
-        if key in self._piece_cache:
-            return self._piece_cache[key]
-        ambient = self._basis(D)
-        piece = _span(ambient, self._j0_products(D) if ambient else [])
-        self._piece_cache[key] = piece
-        return piece
+        return self._cached("j0", D, self._build_j0)
 
-    def _j0_products(self, D):
-        """The products m * g_rho of class(D) that span the J0 piece."""
-        return [g.shift(m) for m in self._basis(D - self.beta_divisor)
-                for g in self.euler_terms if g.terms]
-
-    def j_piece(self, D):
-        """Graded piece of the plain partial-derivative ideal at class(D)."""
-        key = ("j", pic_class(self.fan, D).vec)
-        if key in self._piece_cache:
-            return self._piece_cache[key]
+    def _build_j0(self, D):
         ambient = self._basis(D)
-        products = []
-        if ambient:
-            for rho in range(self.fan.n):
-                g = self.partials[rho]
-                if not g.terms:
-                    continue
-                mult = self._basis(D - self.beta_divisor + ray_divisor(self.fan, rho))
-                for m in mult:
-                    products.append(g.shift(m))
-        piece = _span(ambient, products)
-        self._piece_cache[key] = piece
-        return piece
+        rows = self._j0_rows(D, ambient) if ambient else []
+        rows, pivots = linalg.rref(rows, len(ambient))
+        return GradedSubspace(ambient, tuple(rows), tuple(pivots))
 
     def j1_piece(self, D):
         """Graded piece at class(D) of J0 : (prod x_rho).
@@ -197,29 +179,25 @@ class JacobianSystem:
         rows of J0 ∩ C as those whose pivots lie in C; cut down to C they
         are the reduced echelon basis of the J1 piece.
         """
-        key = ("j1", pic_class(self.fan, D).vec)
-        if key in self._piece_cache:
-            return self._piece_cache[key]
+        return self._cached("j1", D, self._build_j1)
+
+    def _build_j1(self, D):
         ambient = self._basis(D)
         if not ambient:
-            piece = GradedSubspace((), (), ())
-            self._piece_cache[key] = piece
-            return piece
+            return GradedSubspace((), (), ())
         target = D - canonical_divisor(self.fan)
         tbasis = self._basis(target)
         shifted = [tuple(a + 1 for a in e) for e in ambient]
         inside = set(shifted)
         if not inside.issubset(tbasis):
             raise InternalError("shifted monomial missing from the target piece")
-        outside = [e for e in tbasis if e not in inside]
-        offset = len(outside)
-        full = _span(outside + shifted, self._j0_products(target))
+        order = [e for e in tbasis if e not in inside] + shifted
+        offset = len(order) - len(shifted)
+        rows, pivots = linalg.rref(self._j0_rows(target, order), len(order))
         kept = [(row[offset:], p - offset)
-                for row, p in zip(full.rows, full.pivots) if p >= offset]
-        piece = GradedSubspace(tuple(ambient), tuple(r for r, _ in kept),
-                               tuple(p for _, p in kept))
-        self._piece_cache[key] = piece
-        return piece
+                for row, p in zip(rows, pivots) if p >= offset]
+        return GradedSubspace(ambient, tuple(r for r, _ in kept),
+                              tuple(p for _, p in kept))
 
     def r1_dim(self, D):
         """Dimension of the graded piece of the quotient ring S/J1."""
@@ -294,34 +272,6 @@ class JacobianSystem:
                 return NondegeneracyVerdict("certified", k=k)
         return NondegeneracyVerdict("undetermined", k=k_max)
 
-    def pairing_matrix(self, Da, Db):
-        """Multiplication pairing R1_a x R1_b -> R1_top on coset monomials.
-
-        Requires class(Da) + class(Db) = 3 beta + 2 K and a one-dimensional
-        quotient at the top class; the sole non-pivot monomial there is the
-        normalizing generator.
-        """
-        K = canonical_divisor(self.fan)
-        want = 3 * pic_class(self.fan, self.beta_divisor) + 2 * pic_class(self.fan, K)
-        have = pic_class(self.fan, Da) + pic_class(self.fan, Db)
-        if have != want:
-            raise InputError("classes do not add up to 3*beta + 2*K")
-        top = Da + Db
-        if self.r1_dim(top) != 1:
-            raise InputError("the top graded piece of the quotient ring is not a line")
-        tpiece = self.j1_piece(top)
-        tpos = tpiece.columns[tpiece.coset_monomials()[0]]
-        acosets = self.j1_piece(Da).coset_monomials()
-        bcosets = self.j1_piece(Db).coset_monomials()
-        matrix = []
-        for ea in acosets:
-            row = []
-            for eb in bcosets:
-                prod = tuple(a + b for a, b in zip(ea, eb))
-                row.append(tpiece.residual({prod: 1}).get(tpos, 0))
-            matrix.append(row)
-        return matrix
-
     def multiplication_matrix(self, eta, D_from, D_to):
         """Matrix of multiplication by eta between quotient coset bases."""
         if not eta.is_zero():
@@ -334,12 +284,7 @@ class JacobianSystem:
         tsel = [tpiece.columns[e] for e in tpiece.coset_monomials()]
         matrix = []
         for e in fcosets:
-            red = tpiece.residual(eta.shift(e).terms)
+            red = tpiece.residual({tuple(a + b for a, b in zip(m, e)): c
+                                   for m, c in eta.terms.items()})
             matrix.append([red.get(k, Fraction(0)) for k in tsel])
         return matrix
-
-    def multiplication_rank(self, eta, D_from, D_to):
-        matrix = self.multiplication_matrix(eta, D_from, D_to)
-        if not matrix:
-            return 0
-        return linalg.rank(matrix, len(matrix[0]))

@@ -1,4 +1,6 @@
-"""Shared fixtures: surfaces, sections, and an independent j1 oracle.
+"""Shared fixtures: surfaces, sections, an independent j1 oracle, and the
+test-only graded machinery (the partial-derivative ideal J and the
+quotient pairings) that the library itself does not need.
 
 The battery below is the registry of nondegenerate fixtures used by the
 duality and oracle-equivalence suites.  Expectations stored with each entry
@@ -13,12 +15,14 @@ from fractions import Fraction
 import pytest
 
 from toricjac.cli import main as cli_main
+from toricjac import linalg
 from toricjac.cox import CoxPolynomial, monomial_basis, poly_from_text
 from toricjac.criterion import evaluate, trigonal_fixture
-from toricjac.divisors import canonical_divisor, divisor_from_labels
+from toricjac.divisors import (canonical_divisor, divisor_from_labels,
+                               pic_class, ray_divisor)
+from toricjac.errors import InputError
 from toricjac.fan import builtin_surface, fan_from_json
-from toricjac.jacobian import JacobianSystem
-from toricjac.linalg import rank
+from toricjac.jacobian import GradedSubspace, JacobianSystem
 
 TRIGONAL_D5 = "x1^5*x2^3 + x3^2*x4^3 + x3^5*x2^3 + x1^2*x4^3"
 H2_TRIGONAL = "x1^7*x2^3 + x3*x4^3 + x3^7*x2^3 + x1*x4^3 + x1^3*x2*x4^2"
@@ -59,7 +63,76 @@ def j1_dim_brute(sys_, D):
     for e in amb:
         red = target.residual({tuple(a + 1 for a in e): 1})
         residuals.append([red.get(k, 0) for k in range(target.ambient_dim)])
-    return len(amb) - rank(residuals, target.ambient_dim)
+    return len(amb) - linalg.rank(residuals, target.ambient_dim)
+
+
+def partial(f, i):
+    """Exact partial derivative of f with respect to variable i."""
+    terms = {}
+    for e, c in f.terms.items():
+        if e[i]:
+            de = list(e)
+            de[i] -= 1
+            terms[tuple(de)] = c * e[i]
+    return CoxPolynomial(f.fan, terms)
+
+
+def j_piece(sys_, D):
+    """Graded piece at class(D) of J = (df/dx_rho), the plain Jacobian ideal.
+
+    Spanned by the products m * df/dx_rho, m running over the monomials of
+    class(D) - beta + D_rho.
+    """
+    fan = sys_.fan
+    ambient = monomial_basis(fan, D)
+    column = {e: k for k, e in enumerate(ambient)}
+    rows = []
+    for rho in range(fan.n):
+        g = partial(sys_.f, rho).terms
+        if not ambient or not g:
+            continue
+        for m in monomial_basis(fan, D - sys_.beta_divisor + ray_divisor(fan, rho)):
+            row = [0] * len(ambient)
+            for e, c in g.items():
+                row[column[tuple(a + b for a, b in zip(e, m))]] = c
+            rows.append(row)
+    rows, pivots = linalg.rref(rows, len(ambient))
+    return GradedSubspace(ambient, tuple(rows), tuple(pivots))
+
+
+def pairing_matrix(sys_, Da, Db):
+    """Multiplication pairing R1_a x R1_b -> R1_top on coset monomials.
+
+    Requires class(Da) + class(Db) = 3 beta + 2 K and a one-dimensional
+    quotient at the top class; the sole non-pivot monomial there is the
+    normalizing generator.
+    """
+    fan = sys_.fan
+    K = canonical_divisor(fan)
+    want = 3 * pic_class(fan, sys_.beta_divisor) + 2 * pic_class(fan, K)
+    if pic_class(fan, Da) + pic_class(fan, Db) != want:
+        raise InputError("classes do not add up to 3*beta + 2*K")
+    top = Da + Db
+    if sys_.r1_dim(top) != 1:
+        raise InputError("the top graded piece of the quotient ring is not a line")
+    tpiece = sys_.j1_piece(top)
+    tpos = tpiece.columns[tpiece.coset_monomials()[0]]
+    matrix = []
+    for ea in sys_.j1_piece(Da).coset_monomials():
+        row = []
+        for eb in sys_.j1_piece(Db).coset_monomials():
+            prod = tuple(a + b for a, b in zip(ea, eb))
+            row.append(tpiece.residual({prod: 1}).get(tpos, 0))
+        matrix.append(row)
+    return matrix
+
+
+def multiplication_rank(sys_, eta, D_from, D_to):
+    """Rank of multiplication by eta from R1 at D_from to R1 at D_to."""
+    matrix = sys_.multiplication_matrix(eta, D_from, D_to)
+    if not matrix:
+        return 0
+    return linalg.rank(matrix, len(matrix[0]))
 
 
 def row_terms(ambient, row):

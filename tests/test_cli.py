@@ -168,6 +168,27 @@ def test_class_of_needs_sign_between_terms():
         assert err.startswith("error: cannot parse class expression")
 
 
+def test_class_of_only_on_commands_that_read_it():
+    # criterion, quick-criterion and find-eta take beta from --class or f
+    for cmd in ("criterion", "quick-criterion", "find-eta"):
+        code, out, err = run_cli(
+            [cmd, "--poly", TRIGONAL_D5, "--class-of", "2beta"] + H1)
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --class-of 2beta" in err
+
+
+def test_blank_class_is_refused():
+    for cmd in ("basis", "hilbert"):
+        for expr in ("", "  "):
+            code, out, err = run_cli(
+                [cmd, "--poly", TRIGONAL_D5, "--class-of", expr] + H1)
+            assert code == 2 and out == ""
+            assert err.startswith("error: cannot parse class expression")
+    code, out, err = run_cli(["criterion", "--poly", TRIGONAL_D5, "--class", ""] + H1)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --class needs 2 comma-separated integers")
+
+
 def test_basis_text():
     code, out, _ = run_cli(["basis", "--class", "2,1"] + H1)
     assert code == 0
@@ -359,6 +380,33 @@ def test_bad_fan_file_json(tmp_path):
     code, _, err = run_cli(["describe-surface", "--fan-file", str(path)])
     assert code == 2
     assert "not valid JSON" in err
+
+
+def test_json_inputs_refuse_floats_and_booleans(tmp_path):
+    good = {"exps": [5, 3, 0, 0], "coeff": 2}
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"terms": [good, dict(good, coeff="-3/4")]}))
+    code, _, err = run_cli(["basis", "--poly-file", str(path)] + H1)
+    assert code == 0 and err == ""
+    bad_terms = [
+        (dict(good, coeff=0.1), "bad coefficient 0.1"),
+        (dict(good, coeff=2.0), "bad coefficient 2.0"),
+        (dict(good, coeff=True), "bad coefficient True"),
+        (dict(good, coeff=None), "bad coefficient None"),
+        (dict(good, exps=[5, 3, True, 0]), "'exps' must be a list of integers"),
+        (dict(good, exps=[5.0, 3, 0, 0]), "'exps' must be a list of integers"),
+    ]
+    for term, message in bad_terms:
+        path.write_text(json.dumps({"terms": [term]}))
+        code, out, err = run_cli(["basis", "--poly-file", str(path)] + H1)
+        assert code == 2 and out == "", term
+        assert message in err, term
+    for rays in ([[True, 0], [0, 1], [-1, 0], [0, -1]],
+                 [[1.0, 0], [0, 1], [-1, 0], [0, -1]]):
+        path.write_text(json.dumps({"rays": rays}))
+        code, out, err = run_cli(["describe-surface", "--fan-file", str(path)])
+        assert code == 2 and out == "", rays
+        assert "'rays' must be a list of integer pairs" in err
 
 
 def test_unknown_subcommand_exits_2():

@@ -117,8 +117,8 @@ def test_ampleness_examples():
 def test_polytope_and_h0_basics():
     fan = build_hirzebruch(1)
     beta = divisor_from_labels(fan, {"x1": 5, "x2": 3})
-    P = polytope(fan, beta)
-    assert len(P.points) == 18
+    points = polytope(fan, beta)
+    assert len(points) == 18 and points == tuple(sorted(points))
     assert h0(fan, beta) == 18
     assert h0(fan, TorusDivisor((0, 0, 0, 0))) == 1
     assert h0(fan, canonical_divisor(fan)) == 0

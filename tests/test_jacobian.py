@@ -4,14 +4,16 @@ from fractions import Fraction
 import pytest
 
 from toricjac.cox import CoxPolynomial, monomial_basis, poly_from_text
-from toricjac.divisors import canonical_divisor, divisor_from_labels
+from toricjac.divisors import (canonical_divisor, divisor_from_labels,
+                               principal_divisor)
 from toricjac.errors import InputError
 from toricjac.fan import builtin_surface
 from toricjac.jacobian import JacobianSystem
 from toricjac import linalg
 
 from conftest import (H2_TRIGONAL, TRIGONAL_D5, dense_reduce, j1_dim_brute,
-                      lambda_section, row_terms)
+                      j_piece, lambda_section, multiplication_rank,
+                      pairing_matrix, row_terms)
 
 
 def subspace_leq(small, big):
@@ -33,7 +35,7 @@ def test_trigonal_d5_dimensions(s5, h1):
     K = canonical_divisor(h1)
     assert s5.section_dim(beta) == 18
     assert s5.j0_piece(beta).dim == 3
-    assert s5.j_piece(beta).dim == 7
+    assert j_piece(s5, beta).dim == 7
     assert s5.j1_piece(beta).dim == 7
     assert s5.r1_dim(beta) == 11
     assert s5.j1_piece(beta + K).dim == 0
@@ -64,7 +66,7 @@ def test_residual_of_monomial_matches_dense_reduction(s5, h1):
     rational = JacobianSystem(h1, poly_from_text(
         h1, "1/2*x1^5*x2^3 + 3/7*x3^2*x4^3 - 5/3*x3^5*x2^3 + x1^2*x4^3"
             " + 2/5*x1^3*x2^2*x3*x4"))
-    pieces = [s5.j0_piece(beta), s5.j1_piece(beta), s5.j_piece(2 * beta + K),
+    pieces = [s5.j0_piece(beta), s5.j1_piece(beta), j_piece(s5, 2 * beta + K),
               s5.j1_piece(2 * beta + 2 * K), rational.j1_piece(beta),
               rational.j0_piece(2 * beta + K)]
     for piece in pieces:
@@ -89,7 +91,7 @@ def test_containments_j0_j_j1(s5, h1):
     K = canonical_divisor(h1)
     for D in (beta, 2 * beta + K, 2 * beta + 2 * K):
         j0 = s5.j0_piece(D)
-        j = s5.j_piece(D)
+        j = j_piece(s5, D)
         j1 = s5.j1_piece(D)
         assert subspace_leq(j0, j1)
         assert subspace_leq(j, j1)
@@ -151,13 +153,13 @@ def test_certificate_agrees_with_chart_decision(battery):
 def test_pairing_matrix_d5(s5, h1):
     beta = s5.beta_divisor
     K = canonical_divisor(h1)
-    M = s5.pairing_matrix(beta + K, 2 * beta + K)
+    M = pairing_matrix(s5, beta + K, 2 * beta + K)
     assert len(M) == 5 and len(M[0]) == 5
     assert linalg.rank([list(r) for r in M], 5) == 5
-    N = s5.pairing_matrix(beta, 2 * beta + 2 * K)
+    N = pairing_matrix(s5, beta, 2 * beta + 2 * K)
     assert len(N) == 11 and len(N[0]) == 11
     assert linalg.rank([list(r) for r in N], 11) == 11
-    Mt = s5.pairing_matrix(2 * beta + K, beta + K)
+    Mt = pairing_matrix(s5, 2 * beta + K, beta + K)
     assert all(M[i][j] == Mt[j][i] for i in range(5) for j in range(5))
 
 
@@ -165,7 +167,7 @@ def test_pairing_matrix_rejects_wrong_classes(s5, h1):
     beta = s5.beta_divisor
     K = canonical_divisor(h1)
     with pytest.raises(InputError):
-        s5.pairing_matrix(beta, beta)
+        pairing_matrix(s5, beta, beta)
 
 
 def test_pairing_matrix_rejects_degenerate_top(h2):
@@ -177,17 +179,17 @@ def test_pairing_matrix_rejects_degenerate_top(h2):
     K = canonical_divisor(h2)
     assert sys_.r1_dim(3 * beta + 2 * K) == 3
     with pytest.raises(InputError):
-        sys_.pairing_matrix(beta + K, 2 * beta + K)
+        pairing_matrix(sys_, beta + K, 2 * beta + K)
 
 
 def test_multiplication_rank_by_f_is_zero(s5, h1):
     beta = s5.beta_divisor
     K = canonical_divisor(h1)
-    assert s5.multiplication_rank(s5.f, beta + K, 2 * beta + K) == 0
+    assert multiplication_rank(s5, s5.f, beta + K, 2 * beta + K) == 0
     zero = CoxPolynomial.zero(h1)
-    assert s5.multiplication_rank(zero, beta + K, 2 * beta + K) == 0
+    assert multiplication_rank(s5, zero, beta + K, 2 * beta + K) == 0
     with pytest.raises(InputError):
-        s5.multiplication_rank(s5.f, beta, beta)
+        multiplication_rank(s5, s5.f, beta, beta)
 
 
 def test_multiplication_rank_duality_lemma(s5, h1):
@@ -198,8 +200,8 @@ def test_multiplication_rank_duality_lemma(s5, h1):
     piece = s5.j1_piece(beta + K)
     for mono in piece.coset_monomials()[:3]:
         alpha = CoxPolynomial.monomial(h1, mono)
-        r_from_beta = s5.multiplication_rank(alpha, beta, 2 * beta + K)
-        r_from_bk = s5.multiplication_rank(alpha, beta + K, 2 * beta + 2 * K)
+        r_from_beta = multiplication_rank(s5, alpha, beta, 2 * beta + K)
+        r_from_bk = multiplication_rank(s5, alpha, beta + K, 2 * beta + 2 * K)
         assert r_from_beta == r_from_bk == 5
 
 
@@ -207,7 +209,7 @@ def test_h2_trigonal_dimensions(h2):
     sys_ = JacobianSystem(h2, poly_from_text(h2, H2_TRIGONAL))
     beta = divisor_from_labels(h2, {"x1": 7, "x2": 3})
     assert sys_.section_dim(beta) == 20
-    assert sys_.j_piece(beta).dim == 8
+    assert j_piece(sys_, beta).dim == 8
     assert sys_.j1_piece(beta).dim == 8
     assert sys_.r1_dim(beta) == 12
 
@@ -274,3 +276,40 @@ def test_j1_piece_is_one_elimination(h1, monkeypatch):
     assert len(calls) == 1
     assert sys_.j1_piece(sys_.beta_divisor).dim == 7
     assert len(calls) == 1
+
+
+def test_pieces_build_no_polynomials(h1, monkeypatch):
+    sys_ = JacobianSystem(h1, poly_from_text(h1, TRIGONAL_D5))
+    made = []
+    init = CoxPolynomial.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CoxPolynomial, "__init__", counted)
+    D = 2 * sys_.beta_divisor + canonical_divisor(h1)
+    assert sys_.j0_piece(D).dim > 0
+    assert sys_.j1_piece(D).dim > 0
+    assert made == []
+
+
+def test_pieces_are_cached_by_class(h1, monkeypatch):
+    sys_ = JacobianSystem(h1, poly_from_text(h1, TRIGONAL_D5))
+    calls = []
+    rref = linalg.rref
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return rref(rows, ncols)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    D = sys_.beta_divisor
+    moved = D + principal_divisor(h1, (2, -1))
+    assert moved != D
+    piece = sys_.j1_piece(D)
+    assert sys_.j1_piece(moved) is piece
+    assert len(calls) == 1
+    piece = sys_.j0_piece(moved)
+    assert sys_.j0_piece(D) is piece
+    assert len(calls) == 2

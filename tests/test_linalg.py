@@ -143,15 +143,9 @@ def test_rref_matches_dense_reference_random():
 
 def j0_product_matrices(sys_, D):
     """The J0 products at class(D) in ambient order and in reversed order."""
-    piece = sys_.j0_piece(D)
-    n = piece.ambient_dim
-    rows = []
-    for p in sys_._j0_products(D):
-        row = [0] * n
-        for e, c in p.terms.items():
-            row[piece.columns[e]] = c
-        rows.append(row)
-    return [(rows, n), ([row[::-1] for row in rows], n)]
+    ambient = sys_.j0_piece(D).ambient
+    rows = sys_._j0_rows(D, ambient)
+    return [(rows, len(ambient)), ([row[::-1] for row in rows], len(ambient))]
 
 
 def test_rref_matches_dense_reference_on_j0_products(battery, h1):
