@@ -249,15 +249,15 @@ def _query_divisor(fan, kind, args):
         f = _load_poly(fan, args)
     beta = _beta_divisor(fan, kind, args, f)
     if args.class_of is not None:
-        return _resolve_class_of(args.class_of, beta, canonical_divisor(fan)), f, beta
+        return _resolve_class_of(args.class_of, beta, canonical_divisor(fan)), f
     if beta is None:
         raise InputError("a class is required (--class, --class-of, or --poly)")
-    return beta, f, beta
+    return beta, f
 
 
 def _cmd_basis(args):
     fan, kind = _load_fan(args)
-    D, _, _ = _query_divisor(fan, kind, args)
+    D, _ = _query_divisor(fan, kind, args)
     basis = monomial_basis(fan, D)
     names = [fan.monomial_label(e) for e in basis]
     payload = {
@@ -294,7 +294,7 @@ def _cmd_nondegenerate(args):
 
 def _cmd_hilbert(args):
     fan, kind = _load_fan(args)
-    D, f, _ = _query_divisor(fan, kind, args)
+    D, f = _query_divisor(fan, kind, args)
     if f is None:
         raise InputError("hilbert needs the section f (--poly or --poly-file)")
     sys_ = JacobianSystem(fan, f)

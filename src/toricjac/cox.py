@@ -37,7 +37,9 @@ def monomial_basis(fan, D):
 
 
 class CoxPolynomial:
-    """Sparse Cox-ring polynomial with Fraction coefficients."""
+    """Sparse Cox-ring polynomial: a checked map from exponent tuples to
+    nonzero Fraction coefficients.  It has no arithmetic operators; the
+    library only reads its terms."""
 
     __slots__ = ("fan", "terms")
 
@@ -45,24 +47,19 @@ class CoxPolynomial:
         self.fan = fan
         clean = {}
         for exps, c in (terms or {}).items():
-            c = Fraction(c)
-            if not c:
-                continue
-            exps = tuple(int(e) for e in exps)
+            # exact type checks: a bool is an int and a float is inexact
+            if type(c) not in (int, Fraction):
+                raise InputError(f"bad coefficient {c!r}; give an int or a Fraction")
+            exps = tuple(exps)
             if len(exps) != fan.n:
                 raise InputError("exponent tuple length does not match the ray count")
+            if not all(type(e) is int for e in exps):
+                raise InputError(f"exponents in {exps} must be ints")
             if any(e < 0 for e in exps):
                 raise InputError(f"negative exponent in {exps}")
-            clean[exps] = c
+            if c:
+                clean[exps] = Fraction(c)
         self.terms = clean
-
-    @classmethod
-    def zero(cls, fan):
-        return cls(fan, {})
-
-    @classmethod
-    def monomial(cls, fan, exps, coeff=1):
-        return cls(fan, {tuple(exps): Fraction(coeff)})
 
     def is_zero(self):
         return not self.terms
@@ -77,65 +74,6 @@ class CoxPolynomial:
             elif c != cls:
                 raise InputError("polynomial is not homogeneous")
         return cls
-
-    def _like(self, other):
-        if isinstance(other, CoxPolynomial):
-            if other.fan is not self.fan and other.fan.rays != self.fan.rays:
-                raise InputError("polynomials live in different Cox rings")
-            return other
-        return None
-
-    def __add__(self, other):
-        other = self._like(other)
-        if other is None:
-            return NotImplemented
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        return CoxPolynomial(self.fan, terms)
-
-    def __neg__(self):
-        return CoxPolynomial(self.fan, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._like(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c):
-        c = Fraction(c)
-        if not c:
-            return CoxPolynomial.zero(self.fan)
-        return CoxPolynomial(self.fan, {e: c * v for e, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        other = self._like(other)
-        if other is None:
-            return NotImplemented
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, 0) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
-        return CoxPolynomial(self.fan, terms)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, CoxPolynomial):
-            return NotImplemented
-        return self.fan.rays == other.fan.rays and self.terms == other.terms
 
     def euler_term(self, i):
         """x_i * d/dx_i, which preserves the class of each term."""

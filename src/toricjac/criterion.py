@@ -109,8 +109,6 @@ def _evaluate(fan, D_beta, f, mode):
     g = genus(fan, D_beta)
     if ample and g != s_beta_k:
         raise InternalError("adjunction genus disagrees with dim S_{beta+K}")
-    if ample:
-        g = s_beta_k
 
     nd = sys.nondegenerate_decide()
     bk = intersect(fan, D_beta, K)

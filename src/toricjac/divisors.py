@@ -9,6 +9,14 @@ from .errors import InputError, InternalError
 from .fan import _det
 
 
+def _int_tuple(values, what):
+    # exact type check: a bool is an int and a float is inexact
+    values = tuple(values)
+    if not all(type(c) is int for c in values):
+        raise InputError(f"{what} entries must be ints, got {values}")
+    return values
+
+
 @dataclass(frozen=True)
 class TorusDivisor:
     """Torus-invariant divisor: one integer coefficient per stored ray."""
@@ -16,7 +24,7 @@ class TorusDivisor:
     coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", _int_tuple(self.coeffs, "divisor"))
 
     def __add__(self, other):
         return TorusDivisor(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
@@ -41,7 +49,7 @@ class PicClass:
     basis_id: str
 
     def __post_init__(self):
-        object.__setattr__(self, "vec", tuple(int(c) for c in self.vec))
+        object.__setattr__(self, "vec", _int_tuple(self.vec, "Picard class"))
 
     def _check(self, other):
         if self.basis_id != other.basis_id:
@@ -77,7 +85,7 @@ def divisor_from_labels(fan, coeffs):
     """Build a divisor from {label: coefficient}; omitted labels get 0."""
     out = [0] * fan.n
     for lab, c in coeffs.items():
-        out[fan.position(lab)] = int(c)
+        out[fan.position(lab)] = c
     return TorusDivisor(tuple(out))
 
 

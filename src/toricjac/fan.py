@@ -50,7 +50,8 @@ def validate(rays):
     rays = [tuple(u) for u in rays]
     problems = []
     for i, u in enumerate(rays):
-        if len(u) != 2 or not all(isinstance(x, int) for x in u):
+        # exact type check: a bool is an int and a float is inexact
+        if len(u) != 2 or not all(type(x) is int for x in u):
             return [f"ray {i} is not an integer vector of dimension 2"]
     for i, u in enumerate(rays):
         if u == (0, 0):
@@ -97,7 +98,7 @@ class Fan:
     """
 
     def __init__(self, rays, labels=None):
-        rays = [tuple(int(x) for x in u) for u in rays]
+        rays = [tuple(u) for u in rays]
         if labels is None:
             labels = [f"x{i + 1}" for i in range(len(rays))]
         labels = [str(s) for s in labels]
@@ -113,7 +114,7 @@ class Fan:
         self.labels = tuple(labels[i] for i in order)
         self.n = len(self.rays)
         self._pos = {lab: k for k, lab in enumerate(self.labels)}
-        self._hnf = self._relation_hnf()
+        self.hnf_rows = self._relation_hnf()
         digest = hashlib.sha1(repr(self.rays).encode()).hexdigest()[:10]
         self.basis_id = f"pic-{digest}"
 
@@ -129,10 +130,6 @@ class Fan:
         if row1[0] != 1 or row1[1] != 0 or row2[0] != 0 or row2[1] != 1:
             raise InternalError("relation matrix is not in Hermite form")
         return row1, row2
-
-    @property
-    def hnf_rows(self):
-        return self._hnf
 
     @property
     def maximal_cones(self):

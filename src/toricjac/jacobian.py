@@ -117,16 +117,19 @@ class JacobianSystem:
 
     def _check_euler_identities(self):
         # For every weight vector phi in the kernel of the ray matrix the
-        # combination sum(phi_i * euler_term_i) must equal phi(beta) * f.
+        # combination sum(phi_i * euler_term_i) must equal phi(beta) * f,
+        # compared as whole term dicts with the zero coefficients dropped.
         rows = [[u[0] for u in self.fan.rays], [u[1] for u in self.fan.rays]]
         ker_rows, _ = linalg.kernel(rows, self.fan.n)
         for phi in ker_rows:
             const = sum(p * a for p, a in zip(phi, self.beta_divisor.coeffs))
-            lhs = CoxPolynomial.zero(self.fan)
-            for i, p in enumerate(phi):
-                if p:
-                    lhs = lhs + self.euler_terms[i].scale(p)
-            if lhs != self.f.scale(const):
+            lhs = {}
+            for p, g in zip(phi, self.euler_terms):
+                for e, c in g.terms.items():
+                    lhs[e] = lhs.get(e, 0) + p * c
+            lhs = {e: c for e, c in lhs.items() if c}
+            rhs = {e: const * c for e, c in self.f.terms.items() if const}
+            if lhs != rhs:
                 raise InternalError("Euler identity failed on construction")
 
     def _cached(self, kind, D, build):
@@ -253,22 +256,13 @@ class JacobianSystem:
         """
         if k_max < 1:
             raise InputError("k_max must be at least 1")
-        from itertools import combinations_with_replacement
         gens = self.fan.irrelevant_generators()
+        products = {(0,) * self.fan.n}
         for k in range(1, k_max + 1):
-            products = set()
-            for combo in combinations_with_replacement(range(len(gens)), k):
-                exps = [0] * self.fan.n
-                for g in combo:
-                    for t in range(self.fan.n):
-                        exps[t] += gens[g][t]
-                products.add(tuple(exps))
-            ok = True
-            for exps in sorted(products):
-                if self.j0_piece(TorusDivisor(exps)).residual({exps: 1}):
-                    ok = False
-                    break
-            if ok:
+            products = {tuple(a + b for a, b in zip(p, g))
+                        for p in products for g in gens}
+            if not any(self.j0_piece(TorusDivisor(exps)).residual({exps: 1})
+                       for exps in sorted(products)):
                 return NondegeneracyVerdict("certified", k=k)
         return NondegeneracyVerdict("undetermined", k=k_max)
 

@@ -40,10 +40,7 @@ def lambda_section(fan, lam):
 
 def dense_section(fan, D):
     """Sum of every monomial of the graded piece, coefficients all 1."""
-    f = CoxPolynomial.zero(fan)
-    for e in monomial_basis(fan, D):
-        f = f + CoxPolynomial.monomial(fan, e)
-    return f
+    return CoxPolynomial(fan, {e: 1 for e in monomial_basis(fan, D)})
 
 
 def j1_dim_brute(sys_, D):

@@ -128,7 +128,7 @@ def test_find_eta_d5(h1, trigonal_systems):
     assert len(matrix) == 5 and len(matrix[0]) == 5
     assert linalg.rank(matrix, 5) == 5
     again = find_rank_g_deformation(h1, beta, f)
-    assert again.eta == res.eta and again.attempts_used == 1
+    assert again.eta.terms == res.eta.terms and again.attempts_used == 1
 
 
 def test_find_eta_d7(h1, trigonal_systems):
