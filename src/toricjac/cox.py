@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .divisors import TorusDivisor, pic_class, polytope
 from .errors import InputError, InternalError
-from .fan import _label_key
+from .fan import _label_key, _tuple
 
 
 def multidegree(fan, exps):
@@ -45,12 +45,17 @@ class CoxPolynomial:
 
     def __init__(self, fan, terms=None):
         self.fan = fan
+        if terms is None:
+            terms = {}
+        if not isinstance(terms, dict):
+            raise InputError(f"terms must be a dict from exponent tuples "
+                             f"to coefficients, got {terms!r}")
         clean = {}
-        for exps, c in (terms or {}).items():
+        for exps, c in terms.items():
             # exact type checks: a bool is an int and a float is inexact
             if type(c) not in (int, Fraction):
                 raise InputError(f"bad coefficient {c!r}; give an int or a Fraction")
-            exps = tuple(exps)
+            exps = _tuple(exps, "an exponent tuple")
             if len(exps) != fan.n:
                 raise InputError("exponent tuple length does not match the ray count")
             if not all(type(e) is int for e in exps):

@@ -6,12 +6,12 @@ from fractions import Fraction
 from math import ceil, floor
 
 from .errors import InputError, InternalError
-from .fan import _det
+from .fan import _det, _tuple
 
 
 def _int_tuple(values, what):
     # exact type check: a bool is an int and a float is inexact
-    values = tuple(values)
+    values = _tuple(values, what)
     if not all(type(c) is int for c in values):
         raise InputError(f"{what} entries must be ints, got {values}")
     return values

@@ -40,6 +40,14 @@ def _sorted_order(rays):
     return idx
 
 
+def _tuple(value, what):
+    """tuple(value), refused with InputError when value is not iterable."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise InputError(f"{what} must be a sequence, got {value!r}") from None
+
+
 def validate(rays):
     """Check the surface-fan invariants for a ray list.
 
@@ -47,7 +55,7 @@ def validate(rays):
     rays define a complete smooth toric surface.  The rays are sorted
     counterclockwise before the cone checks.
     """
-    rays = [tuple(u) for u in rays]
+    rays = [_tuple(u, "a ray") for u in _tuple(rays, "the ray list")]
     problems = []
     for i, u in enumerate(rays):
         # exact type check: a bool is an int and a float is inexact
@@ -98,7 +106,7 @@ class Fan:
     """
 
     def __init__(self, rays, labels=None):
-        rays = [tuple(u) for u in rays]
+        rays = [_tuple(u, "a ray") for u in _tuple(rays, "the ray list")]
         if labels is None:
             labels = [f"x{i + 1}" for i in range(len(rays))]
         labels = [str(s) for s in labels]

@@ -14,12 +14,17 @@ ordered first, yields that intersection as the rows whose pivots lie in C.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .cox import CoxPolynomial, monomial_basis
 from .divisors import TorusDivisor, canonical_divisor, pic_class
 from .errors import InputError, InternalError
 from .groebner import is_unit_ideal
 from . import linalg
+
+# The prime of the modular chart decision.  Any prime gives the same
+# verdicts; a small one only sends more sections to the exact fallback.
+P = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -207,7 +212,7 @@ class JacobianSystem:
         return self.section_dim(D) - self.j1_piece(D).dim
 
     def nondegenerate_decide(self):
-        """Exact chart-by-chart decision.
+        """Exact chart-by-chart decision, made mod P when it can be.
 
         On the chart of a maximal cone (x_i, x_j) the variables off the cone
         are set to 1, which identifies the chart with C^2; f is degenerate
@@ -220,14 +225,28 @@ class JacobianSystem:
         c >= 1 lies in chart c - 1, apart from its origin, which is on the
         axis x_j = 0.  A later chart therefore only checks the terms free
         of x_j, an ideal in one variable, where Buchberger's algorithm is
-        Euclid's.  Charts are visited in order, so the first degenerate
-        chart, the witness, is the one the whole-chart test finds.
+        Euclid's.  This holds over any algebraically closed field.
+
+        The Euler terms of f with its denominators cleared cut out a
+        closed subscheme of the toric scheme over Z, which is proper since
+        the fan is complete.  So when every chart is the unit ideal mod P,
+        f is nondegenerate by the lemma of the groebner module; the
+        restrictions only add integer coefficients and are never divided
+        by a content.  One chart can be the unit ideal mod P and not over
+        Q, so once some chart is not the unit ideal mod P, the decision is
+        made over the rationals from chart 0 on, and the first degenerate
+        chart is the witness.
         """
-        for c, (i, j) in enumerate(self.fan.maximal_cones):
-            charts = []
-            for g in self.euler_terms:
+        cones = self.fan.maximal_cones
+        denom = lcm(*(c.denominator for c in self.f.terms.values()))
+        integral = [[(e, int(c * denom)) for e, c in g.terms.items()]
+                    for g in self.euler_terms]
+        charts = []
+        for c, (i, j) in enumerate(cones):
+            ideal = []
+            for g in integral:
                 chart = {}
-                for e, coeff in g.terms.items():
+                for e, coeff in g:
                     if c and e[j]:
                         continue
                     m = (e[i], e[j])
@@ -237,11 +256,15 @@ class JacobianSystem:
                     else:
                         chart.pop(m, None)
                 if chart:
-                    charts.append(chart)
-            if not is_unit_ideal(charts):
-                witness = (f"chart {c}: cone ({self.fan.labels[i]}, "
-                           f"{self.fan.labels[j]})")
-                return NondegeneracyVerdict("degenerate", witness=witness)
+                    ideal.append(chart)
+            charts.append(ideal)
+        if not all(is_unit_ideal(ideal, P) for ideal in charts):
+            for c, ideal in enumerate(charts):
+                if not is_unit_ideal(ideal):
+                    i, j = cones[c]
+                    witness = (f"chart {c}: cone ({self.fan.labels[i]}, "
+                               f"{self.fan.labels[j]})")
+                    return NondegeneracyVerdict("degenerate", witness=witness)
         return NondegeneracyVerdict("nondegenerate")
 
     def saturation_certificate(self, k_max=8):

@@ -110,18 +110,20 @@ def test_homogeneous_class():
 def test_constructors_refuse_inexact_and_boolean_inputs():
     p2 = builtin_surface("p2")
     for terms in ({(1.7, 0, 2): 1}, {(1, 0, 2): 0.1}, {(True, 0, 2): 1},
-                  {(1, 0, 2): True}, {(1, 0, 2): "1"}, {("1", 0, 2): 1}):
+                  {(1, 0, 2): True}, {(1, 0, 2): "1"}, {("1", 0, 2): 1},
+                  {5: 1}, 7, [((1, 0, 2), 1)]):
         with pytest.raises(InputError):
             CoxPolynomial(p2, terms)
     for rays in ([(True, 0), (0, 1), (-1, -1)], [(1.0, 0), (0, 1), (-1, -1)],
-                 [("1", 0), (0, 1), (-1, -1)]):
+                 [("1", 0), (0, 1), (-1, -1)], [1, (0, 1), (-1, -1)], 5):
         with pytest.raises(InputError):
             Fan(rays)
-    for coeffs in ((1.9, 0, 0), (True, 0, 0), ("1", 0, 0), (Fraction(1), 0, 0)):
+    for coeffs in ((1.9, 0, 0), (True, 0, 0), ("1", 0, 0), (Fraction(1), 0, 0), 5):
         with pytest.raises(InputError):
             TorusDivisor(coeffs)
-    with pytest.raises(InputError):
-        PicClass((1.5,), p2.basis_id)
+    for vec in ((1.5,), 5):
+        with pytest.raises(InputError):
+            PicClass(vec, p2.basis_id)
     f = CoxPolynomial(p2, {(1, 0, 2): 1, (0, 3, 0): Fraction(-1, 3)})
     assert all(type(c) is Fraction for c in f.terms.values())
 

@@ -5,21 +5,30 @@ terms were cached and its pairs queued on a heap, and the decision that
 ran it on the whole ideal of every chart.  The library now runs
 Buchberger's algorithm on the whole ideal of the first chart only, and on
 one boundary ideal, in one variable, of every later chart, stopping at the
-first constant; both must give the same status and the same witness, and
-the engine the same unit-ideal verdicts.  The reference's reduced bases
-also serve as the Groebner bases of tests/test_groebner.py.
+first constant; it runs these checks modulo a prime P first and falls back
+to the integers when some chart is not the unit ideal mod P.  Both must
+give the same status and the same witness at every P, and the engine the
+same unit-ideal verdicts.  The reference's reduced bases also serve as the
+Groebner bases of tests/test_groebner.py.
 """
 
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
+
+import pytest
 
 from conftest import DP7_RAYS, lambda_section
-from toricjac.cox import CoxPolynomial, monomial_basis
+from toricjac import jacobian
+from toricjac.cox import CoxPolynomial, monomial_basis, poly_from_text
 from toricjac.divisors import TorusDivisor
 from toricjac.fan import builtin_surface, fan_from_json
-from toricjac.groebner import is_unit_ideal
+from toricjac.groebner import is_unit_ideal, to_int_poly
 from toricjac.jacobian import JacobianSystem
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _key(m):
@@ -207,10 +216,10 @@ def ref_is_unit_ideal(polys):
     return len(gb) == 1 and _lt(gb[0])[0] == (0, 0)
 
 
-def ref_decide(sys_):
-    """(status, witness) of the whole-chart decision on every chart."""
+def ref_charts(sys_):
+    """The Euler terms restricted to the whole chart of each maximal cone."""
     fan = sys_.fan
-    for c, (i, j) in enumerate(fan.maximal_cones):
+    for i, j in fan.maximal_cones:
         charts = []
         for g in sys_.euler_terms:
             chart = {}
@@ -223,7 +232,15 @@ def ref_decide(sys_):
                     chart.pop(m, None)
             if chart:
                 charts.append(chart)
+        yield charts
+
+
+def ref_decide(sys_):
+    """(status, witness) of the whole-chart decision on every chart."""
+    fan = sys_.fan
+    for c, charts in enumerate(ref_charts(sys_)):
         if not charts or not ref_is_unit_ideal(charts):
+            i, j = fan.maximal_cones[c]
             return "degenerate", f"chart {c}: cone ({fan.labels[i]}, {fan.labels[j]})"
     return "nondegenerate", None
 
@@ -246,56 +263,48 @@ DENSE = ((builtin_surface("p2"), (3, 0, 0)),
          (fan_from_json({"rays": DP7_RAYS}), (2, 2, 2, 0, 0)))
 
 
-def test_lambda_family_matches_reference():
+def lambda_systems():
     fan = builtin_surface("p1xp1")
-    for lam in range(-6, 7):
-        sys_ = JacobianSystem(fan, lambda_section(fan, lam))
-        assert decide(sys_) == ref_decide(sys_), lam
+    return [JacobianSystem(fan, lambda_section(fan, lam)) for lam in range(-6, 7)]
 
 
-def test_random_sparse_sections_match_reference():
-    rng = random.Random(2024)
-    witnessed = set()
-    nondegenerate = done = 0
-    while done < 250:
+def sparse_systems(seed=2024, count=250, zero_mod_3=False):
+    """Seeded sections of one to four monomials, coefficients +-1..3.
+
+    With zero_mod_3 every monomial has exponent 0 or 3 in one variable,
+    and some has 3, so that variable's Euler term is nonzero and
+    divisible by 3.
+    """
+    rng = random.Random(seed)
+    done = 0
+    while done < count:
         fan = rng.choice(surfaces())
-        D = TorusDivisor(tuple(rng.randint(0, 2) for _ in range(fan.n)))
+        top = 3 if zero_mod_3 else 2
+        D = TorusDivisor(tuple(rng.randint(0, top) for _ in range(fan.n)))
         basis = monomial_basis(fan, D)
+        if zero_mod_3:
+            rho = rng.randrange(fan.n)
+            basis = [e for e in basis if e[rho] in (0, 3)]
         if not basis:
             continue
         picks = rng.sample(basis, min(len(basis), rng.randint(1, 4)))
+        if zero_mod_3 and not any(e[rho] for e in picks):
+            continue
         f = CoxPolynomial(fan, {e: rng.choice((-3, -2, -1, 1, 2, 3)) for e in picks})
-        sys_ = JacobianSystem(fan, f)
-        got = decide(sys_)
-        assert got == ref_decide(sys_), (fan.rays, f.to_text())
-        if got[1]:
-            witnessed.add(int(got[1].split(":")[0].split()[1]))
-        else:
-            nondegenerate += 1
+        yield JacobianSystem(fan, f)
         done += 1
-    # witnesses at every chart position: degeneracies that only a later
-    # chart's boundary check can find
-    assert witnessed == {0, 1, 2, 3, 4} and nondegenerate
 
 
-def test_dense_sections_match_reference():
-    rng = random.Random(7)
-    coeffs = [k for k in range(-9, 10) if k]
-    for fan, D in DENSE:
-        basis = monomial_basis(fan, TorusDivisor(D))
-        f = CoxPolynomial(fan, {e: rng.choice(coeffs) for e in basis})
-        sys_ = JacobianSystem(fan, f)
-        assert decide(sys_) == ref_decide(sys_) == ("nondegenerate", None)
+def boundary_systems():
+    """(system, expected witness, place of rho in the witness cone).
 
-
-def test_boundary_singularities_match_reference():
-    # A dense section whose restriction to the curve x_rho = 0 has a double
-    # root away from the torus-fixed points is singular there and nowhere
-    # else: the witness is the first chart that contains the curve, with
-    # rho as either of its two coordinates.
+    A dense section whose restriction to the curve x_rho = 0 has a double
+    root away from the torus-fixed points is singular there and nowhere
+    else: the witness is the first chart that contains the curve, with
+    rho as either of its two coordinates.
+    """
     rng = random.Random(11)
     coeffs = [k for k in range(-9, 10) if k]
-    seen = set()
     for fan, D in DENSE:
         basis = monomial_basis(fan, TorusDivisor(D))
         for rho in range(fan.n):
@@ -313,9 +322,165 @@ def test_boundary_singularities_match_reference():
             c = min(k for k, cone in enumerate(fan.maximal_cones) if rho in cone)
             i, j = fan.maximal_cones[c]
             want = ("degenerate", f"chart {c}: cone ({fan.labels[i]}, {fan.labels[j]})")
-            assert decide(sys_) == ref_decide(sys_) == want, (fan.rays, rho)
-            seen.add(fan.maximal_cones[c].index(rho))
+            yield sys_, want, fan.maximal_cones[c].index(rho)
+
+
+def nodal_systems():
+    """f = (a*x1 - b*x3) * (c*x2 - d*x4) on p1xp1, with a node on the torus.
+
+    When p divides one of a, b, c, d the node reduces mod p to a point on
+    the boundary, and there the restrictions of the Euler terms to an
+    axis all have a content divisible by p.
+    """
+    fan = builtin_surface("p1xp1")
+    x = {lab: tuple(int(k == fan.position(lab)) for k in range(fan.n))
+         for lab in fan.labels}
+    for a, b, c, d in itertools.product((1, 2, 3), (1, -2, 3), (1, 2, 3), (1, -2, 3)):
+        terms = {tuple(p + q for p, q in zip(u, v)): cu * cv
+                 for u, cu in ((x["x1"], a), (x["x3"], -b))
+                 for v, cv in ((x["x2"], c), (x["x4"], -d))}
+        yield JacobianSystem(fan, CoxPolynomial(fan, terms))
+
+
+def exact_entries(monkeypatch):
+    """The polynomial lists the decision hands to the exact loop, in order."""
+    entries = []
+    real = jacobian.is_unit_ideal
+
+    def counted(polys, p=None):
+        if p is None:
+            entries.append(polys)
+        return real(polys, p)
+
+    monkeypatch.setattr(jacobian, "is_unit_ideal", counted)
+    return entries
+
+
+def test_lambda_family_matches_reference():
+    for lam, sys_ in zip(range(-6, 7), lambda_systems()):
+        assert decide(sys_) == ref_decide(sys_), lam
+
+
+def test_random_sparse_sections_match_reference():
+    witnessed = set()
+    nondegenerate = 0
+    for sys_ in sparse_systems():
+        got = decide(sys_)
+        assert got == ref_decide(sys_), (sys_.fan.rays, sys_.f.to_text())
+        if got[1]:
+            witnessed.add(int(got[1].split(":")[0].split()[1]))
+        else:
+            nondegenerate += 1
+    # witnesses at every chart position: degeneracies that only a later
+    # chart's boundary check can find
+    assert witnessed == {0, 1, 2, 3, 4} and nondegenerate
+
+
+def test_dense_sections_match_reference():
+    rng = random.Random(7)
+    coeffs = [k for k in range(-9, 10) if k]
+    for fan, D in DENSE:
+        basis = monomial_basis(fan, TorusDivisor(D))
+        f = CoxPolynomial(fan, {e: rng.choice(coeffs) for e in basis})
+        sys_ = JacobianSystem(fan, f)
+        assert decide(sys_) == ref_decide(sys_) == ("nondegenerate", None)
+
+
+def test_boundary_singularities_match_reference():
+    seen = set()
+    for sys_, want, place in boundary_systems():
+        assert decide(sys_) == ref_decide(sys_) == want, sys_.fan.rays
+        seen.add(place)
     assert seen == {0, 1}
+
+
+@pytest.mark.parametrize("prime", [2, 3])
+def test_exact_fallback_matches_reference(monkeypatch, prime):
+    # A prime this small leaves many nondegenerate sections short of the
+    # unit ideal mod p, so the decision falls back to the exact loop.
+    monkeypatch.setattr(jacobian, "P", prime)
+    entries = exact_entries(monkeypatch)
+    for sys_ in lambda_systems() + list(sparse_systems()):
+        assert decide(sys_) == ref_decide(sys_), (sys_.fan.rays, sys_.f.to_text())
+    for sys_, want, _ in boundary_systems():
+        assert decide(sys_) == ref_decide(sys_) == want, sys_.fan.rays
+    assert entries
+
+
+def test_modular_nondegenerate_is_exactly_nondegenerate(monkeypatch):
+    # The good-reduction lemma: a section whose charts are all the unit
+    # ideal mod p, decided without entering the exact loop, is
+    # nondegenerate over Q.  In the sections with an Euler term divisible
+    # by 3 that term vanishes mod 3 on every chart.  The nodal sections are
+    # degenerate; dividing each restriction by its content before reading
+    # it mod 2 or 3 makes about half of them nondegenerate.
+    systems = (list(sparse_systems()) + list(sparse_systems(3, 150, zero_mod_3=True))
+               + list(nodal_systems()))
+    refs = [ref_decide(sys_) for sys_ in systems]
+    for prime in (2, 3, 5, 7, 2**31 - 1):
+        monkeypatch.setattr(jacobian, "P", prime)
+        entries = exact_entries(monkeypatch)
+        by_lemma = 0
+        for sys_, ref in zip(systems, refs):
+            before = len(entries)
+            assert decide(sys_) == ref, (prime, sys_.f.to_text())
+            by_lemma += len(entries) == before
+        assert by_lemma, prime
+        monkeypatch.undo()
+
+
+def test_modular_unit_chart_alone_decides_nothing(monkeypatch):
+    # One chart can be the unit ideal mod p and not over Q.  Here chart 0
+    # is the unit ideal mod 3, yet its Euler terms have a common zero over
+    # Q-bar; the axis of chart 2 is not the unit ideal, mod 3 or exactly.
+    # A decision that trusted chart 0 mod 3 and fell back to the exact
+    # loop on chart 2 alone would name chart 2; the witness is chart 0.
+    fan = fan_from_json({"rays": [[1, 0], [0, 1], [-1, 1], [0, -1]]})
+    f = poly_from_text(fan, "3*x2^2*x3^4 + 3*x1*x2^2*x3^3 + x3^2*x4^2 - x1^2*x4^2")
+    sys_ = JacobianSystem(fan, f)
+    chart0 = next(ref_charts(sys_))
+    assert is_unit_ideal([{m: int(c) for m, c in g.items()} for g in chart0], 3)
+    assert not is_unit_ideal(chart0)
+    monkeypatch.setattr(jacobian, "P", 3)
+    assert decide(sys_) == ref_decide(sys_) == ("degenerate", "chart 0: cone (x1, x2)")
+
+
+def test_exact_loop_entered_only_on_the_witness_chart(monkeypatch):
+    entries = exact_entries(monkeypatch)
+    for sys_ in lambda_systems():
+        del entries[:]
+        status, witness = decide(sys_)
+        if status == "nondegenerate":
+            assert not entries
+            continue
+        assert len(entries) == 1 and witness.startswith("chart 0:")
+        assert ([to_int_poly(g) for g in entries[0]]
+                == [to_int_poly(g) for g in next(ref_charts(sys_))])
+
+
+def test_generic_sections_never_enter_the_exact_loop(monkeypatch):
+    # The benchmark's generic sections of seeds 1 and 5 and the dense
+    # p1xp1 (6,6) section are decided mod P alone; the exact loop would
+    # take about 20 s on the (6,6) one.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    real = jacobian.is_unit_ideal
+
+    def modular_only(polys, p=None):
+        assert p is not None, "the exact loop was entered"
+        return real(polys, p)
+
+    monkeypatch.setattr(jacobian, "is_unit_ideal", modular_only)
+    sections = [("p1xp1", workloads.dense_section_text(0, 6, 6, random.Random("w4:1")))]
+    for seed in (1, 5):
+        for command, classes in (("criterion", workloads.CRITERION_SECTIONS),
+                                 ("find-eta", workloads.FIND_ETA_SECTIONS)):
+            for _, argv in workloads.generic_ops(command, classes, seed, False):
+                sections.append((argv[2], argv[6]))
+    for surface, text in sections:
+        fan = builtin_surface(surface)
+        assert decide(JacobianSystem(fan, poly_from_text(fan, text))) == ("nondegenerate", None)
 
 
 def random_poly(rng, max_deg=3, nterms=4):

@@ -48,6 +48,8 @@ def test_validate_diagnostics():
     assert any("non-unimodular" in p
                for p in validate([(1, 0), (1, 2), (-1, 1), (0, -1)]))
     assert any("dimension 2" in p for p in validate([(1, 0, 0), (0, 1, 0)]))
+    with pytest.raises(InputError):
+        validate([1, (0, 1), (-1, -1)])
     # rays are sorted before the cone checks, so clockwise input is fine
     cw = [(0, 1), (1, 0), (0, -1), (-1, 0)]
     assert validate(cw) == []
