@@ -14,10 +14,14 @@ from .criterion import (DEFAULT_SEED, evaluate, find_rank_g_deformation,
                         quick_criterion, trigonal_family_table)
 from .cox import monomial_basis, poly_from_json, poly_from_text
 from .divisors import (TorusDivisor, canonical_divisor, divisor_from_labels,
-                       intersect, pic_class, representative, PicClass)
+                       h0, intersect, pic_class, representative, PicClass)
 from .errors import InputError, InternalError
 from .fan import builtin_surface, fan_from_json
 from .jacobian import JacobianSystem
+
+
+# basis lists h0 monomials; on p1xp1 the class (2000,2000) has 4,004,001
+MAX_BASIS_DIM = 100_000
 
 
 def _build_parser():
@@ -56,6 +60,8 @@ def _build_parser():
     add_surface(p)
     add_class(p, class_of=True)
     add_poly(p)
+    p.add_argument("--max-dim", type=int, default=MAX_BASIS_DIM,
+                   help="refuse a piece of larger dimension (default %(default)s)")
     add_json(p)
 
     p = sub.add_parser("nondegenerate", help="chart decision, optional certificate")
@@ -258,6 +264,9 @@ def _query_divisor(fan, kind, args):
 def _cmd_basis(args):
     fan, kind = _load_fan(args)
     D, _ = _query_divisor(fan, kind, args)
+    dim = h0(fan, D)
+    if dim > args.max_dim:
+        raise InputError(f"the piece has dimension {dim}, above --max-dim {args.max_dim}")
     basis = monomial_basis(fan, D)
     names = [fan.monomial_label(e) for e in basis]
     payload = {

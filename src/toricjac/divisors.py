@@ -2,8 +2,7 @@
 ampleness, section polytopes, Riemann-Roch and adjunction."""
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import ceil, floor
+from itertools import combinations
 
 from .errors import InputError, InternalError
 from .fan import _det, _tuple
@@ -163,41 +162,42 @@ def is_ample(fan, D):
     return True
 
 
+def _columns(fan, D):
+    """(x, low, high) per nonempty column x of the section polytope, whose
+    points there are the (x, y) with low <= y <= high.  The x range comes
+    from the vertices; rays with u_y > 0 bound y below and rays with
+    u_y < 0 above (a complete fan has both)."""
+    _check_len(fan, D)
+    ineqs = tuple(zip(fan.rays, D.coeffs))
+    first, last = [], []
+    for (ui, ai), (uj, aj) in combinations(ineqs, 2):
+        d = _det(ui, uj)
+        if d:
+            # the vertex is (mx, my) / d, in integers with d > 0
+            mx, my = aj * ui[1] - ai * uj[1], ai * uj[0] - aj * ui[0]
+            if d < 0:
+                mx, my, d = -mx, -my, -d
+            if all(u[0] * mx + u[1] * my + a * d >= 0 for u, a in ineqs):
+                first.append(-(-mx // d))
+                last.append(mx // d)
+    cols = []
+    for x in range(min(first, default=0), max(last, default=-1) + 1):
+        low = max(-((u[0] * x + a) // u[1]) for u, a in ineqs if u[1] > 0)
+        high = min((u[0] * x + a) // -u[1] for u, a in ineqs if u[1] < 0)
+        if low <= high:
+            cols.append((x, low, high))
+    return cols
+
+
 def polytope(fan, D):
     """Sorted lattice points of the section polytope {m : <m, u_rho> >= -a_rho}."""
-    _check_len(fan, D)
-    n = fan.n
-    ineqs = tuple((fan.rays[i], -D.coeffs[i]) for i in range(n))
-
-    def feasible(mx, my):
-        return all(u[0] * mx + u[1] * my >= rhs for u, rhs in ineqs)
-
-    verts = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            ui, uj = fan.rays[i], fan.rays[j]
-            d = _det(ui, uj)
-            if d == 0:
-                continue
-            bi, bj = -D.coeffs[i], -D.coeffs[j]
-            mx = Fraction(bi * uj[1] - bj * ui[1], d)
-            my = Fraction(ui[0] * bj - uj[0] * bi, d)
-            if feasible(mx, my):
-                verts.add((mx, my))
-    points = []
-    if verts:
-        xs = [v[0] for v in verts]
-        ys = [v[1] for v in verts]
-        for x in range(ceil(min(xs)), floor(max(xs)) + 1):
-            for y in range(ceil(min(ys)), floor(max(ys)) + 1):
-                if feasible(x, y):
-                    points.append((x, y))
-    return tuple(points)
+    return tuple((x, y) for x, low, high in _columns(fan, D)
+                 for y in range(low, high + 1))
 
 
 def h0(fan, D):
-    """Number of global sections: lattice points of the section polytope."""
-    return len(polytope(fan, D))
+    """Number of global sections, counted by columns of the section polytope."""
+    return sum(high - low + 1 for _, low, high in _columns(fan, D))
 
 
 def euler_characteristic(fan, D):

@@ -2,13 +2,13 @@
 
 For a homogeneous f the Euler terms are g_rho = x_rho df/dx_rho.  They
 generate J0; the criterion and the rank-g search read the quotient by
-J1 = J0 : (prod x_rho).  Every graded piece is an exact row reduction over
-the rationals of the products m * g_rho, each written into its row
-straight from the exponents and coefficients of g_rho.  Multiplication by
-x = prod x_rho maps S_D injectively onto the span C of the monomials of
-class D - K that every variable divides, so x * J1_D = J0_{D-K} ∩ C.
-One elimination of the J0 products at D - K, with the columns outside C
-ordered first, yields that intersection as the rows whose pivots lie in C.
+J1 = J0 : (prod x_rho).  With f's denominators cleared once, every graded
+piece is one integer elimination (linalg.echelon) of the products
+m * g_rho, each a sparse integer row written straight from the terms of
+g_rho.  Multiplication by x = prod x_rho maps S_D injectively onto the
+span C of the monomials of class D - K that every variable divides, so
+x * J1_D = J0_{D-K} ∩ C: the echelon of the J0 products at D - K, with
+the columns outside C first, started at C.
 """
 
 from dataclasses import dataclass
@@ -31,17 +31,27 @@ P = 2**31 - 1
 class GradedSubspace:
     """A subspace of one graded piece of the Cox ring.
 
-    ambient lists the exponent tuples of the monomial basis; rows and
-    pivots are a reduced echelon basis in those coordinates.
+    ambient lists the exponent tuples of the monomial basis; basis is a
+    reduced echelon basis in those coordinates, {pivot: integer row} as
+    linalg.echelon returns it.
     """
 
     ambient: tuple
-    rows: tuple
-    pivots: tuple
+    basis: dict
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self.basis)
+
+    @cached_property
+    def pivots(self):
+        return tuple(sorted(self.basis))
+
+    @cached_property
+    def rows(self):
+        """The basis as dense Fraction rows with unit pivots, in pivot order."""
+        return tuple(linalg.dense_row(self.basis[p], p, len(self.ambient))
+                     for p in self.pivots)
 
     @property
     def ambient_dim(self):
@@ -64,12 +74,11 @@ class GradedSubspace:
                 vec[self.columns[e]] = c
             except KeyError:
                 raise InputError(f"monomial {e} is not in this graded piece") from None
-        return linalg.reduce_vector(self.rows, self.pivots, vec)
+        return linalg.reduce_vector(self.basis, vec)
 
     def coset_monomials(self):
         """Non-pivot monomials; their cosets are a basis of the quotient."""
-        pivset = set(self.pivots)
-        return tuple(e for k, e in enumerate(self.ambient) if k not in pivset)
+        return tuple(e for k, e in enumerate(self.ambient) if k not in self.basis)
 
     def to_dict(self):
         return {
@@ -117,6 +126,11 @@ class JacobianSystem:
         self.beta_class = f.homogeneous_class()
         self.beta_divisor = TorusDivisor(sorted(f.terms)[0])
         self.euler_terms = tuple(f.euler_term(i) for i in range(fan.n))
+        # the Euler terms of f with its denominators cleared, once
+        den = lcm(*(c.denominator for c in f.terms.values()))
+        self._integral_terms = tuple(
+            tuple((e, c.numerator * (den // c.denominator)) for e, c in g.terms.items())
+            for g in self.euler_terms if g.terms)
         self._cache = {}
         self._check_euler_identities()
 
@@ -152,20 +166,15 @@ class JacobianSystem:
         return len(self._basis(D))
 
     def _j0_rows(self, D, order):
-        """The products m * g_rho of class(D) as rows over the monomials in order."""
+        """The products m * g_rho of class(D), with f's denominators cleared,
+        as sparse integer rows {column: int} over the monomials in order."""
         column = {e: k for k, e in enumerate(order)}
-        terms = [tuple(g.terms.items()) for g in self.euler_terms if g.terms]
-        rows = []
         try:
-            for m in self._basis(D - self.beta_divisor):
-                for g in terms:
-                    row = [0] * len(order)
-                    for e, c in g:
-                        row[column[tuple(a + b for a, b in zip(e, m))]] = c
-                    rows.append(row)
+            return [{column[tuple(a + b for a, b in zip(e, m))]: c for e, c in g}
+                    for m in self._basis(D - self.beta_divisor)
+                    for g in self._integral_terms]
         except KeyError:
             raise InternalError("product landed outside the expected graded piece") from None
-        return rows
 
     def j0_piece(self, D):
         """Graded piece of the Euler-term ideal at class(D)."""
@@ -173,26 +182,24 @@ class JacobianSystem:
 
     def _build_j0(self, D):
         ambient = self._basis(D)
-        rows = self._j0_rows(D, ambient) if ambient else []
-        rows, pivots = linalg.rref(rows, len(ambient))
-        return GradedSubspace(ambient, tuple(rows), tuple(pivots))
+        return GradedSubspace(ambient, linalg.echelon(self._j0_rows(D, ambient), 0))
 
     def j1_piece(self, D):
         """Graded piece at class(D) of J0 : (prod x_rho).
 
         Multiplication by prod x_rho adds 1 to every exponent, which keeps
         the lex order, and maps the basis of class(D) onto the monomials C
-        of class(D) - class(K) that every variable divides.  Row reducing
-        the J0 products there with the columns outside C first leaves the
-        rows of J0 ∩ C as those whose pivots lie in C; cut down to C they
-        are the reduced echelon basis of the J1 piece.
+        of class(D) - class(K) that every variable divides.  With the
+        columns outside C first, the echelon of the J0 products there
+        started at C is the reduced echelon basis of J0 ∩ C, that is, of
+        the J1 piece in the coordinates of class(D).
         """
         return self._cached("j1", D, self._build_j1)
 
     def _build_j1(self, D):
         ambient = self._basis(D)
         if not ambient:
-            return GradedSubspace((), (), ())
+            return GradedSubspace((), {})
         target = D - canonical_divisor(self.fan)
         tbasis = self._basis(target)
         shifted = [tuple(a + 1 for a in e) for e in ambient]
@@ -200,12 +207,8 @@ class JacobianSystem:
         if not inside.issubset(tbasis):
             raise InternalError("shifted monomial missing from the target piece")
         order = [e for e in tbasis if e not in inside] + shifted
-        offset = len(order) - len(shifted)
-        rows, pivots = linalg.rref(self._j0_rows(target, order), len(order))
-        kept = [(row[offset:], p - offset)
-                for row, p in zip(rows, pivots) if p >= offset]
-        return GradedSubspace(ambient, tuple(r for r, _ in kept),
-                              tuple(p for _, p in kept))
+        start = len(order) - len(shifted)
+        return GradedSubspace(ambient, linalg.echelon(self._j0_rows(target, order), start))
 
     def r1_dim(self, D):
         """Dimension of the graded piece of the quotient ring S/J1."""
@@ -238,13 +241,10 @@ class JacobianSystem:
         chart is the witness.
         """
         cones = self.fan.maximal_cones
-        denom = lcm(*(c.denominator for c in self.f.terms.values()))
-        integral = [[(e, int(c * denom)) for e, c in g.terms.items()]
-                    for g in self.euler_terms]
         charts = []
         for c, (i, j) in enumerate(cones):
             ideal = []
-            for g in integral:
+            for g in self._integral_terms:
                 chart = {}
                 for e, coeff in g:
                     if c and e[j]:

@@ -1,21 +1,19 @@
 """Exact rational linear algebra.
 
-Matrices come in as rows of rationals, and rref returns dense rows of
-Fractions.  rref, the one elimination loop, works inside on sparse
-fraction-free rows (a dict from column to integer, divided by its
-content) and converts to Fractions only when it builds its result.
-reduce_vector takes and returns sparse vectors, {column: value}.
+echelon, the one elimination loop, works on sparse fraction-free rows
+({column: int}, divided by their content).  rref is its dense Fraction
+view; reduce_vector reduces modulo its basis with one denominator.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
 
-def _integer_row(row):
-    """The row as {column: int}, scaled by the lcm of its denominators."""
-    cells = [(c, x) for c, x in enumerate(row) if x]
+def _integral(cells):
+    """(v, den): the nonzero (column, rational) cells, times den, as {column: int} v."""
+    cells = [(c, x) for c, x in cells if x]
     den = lcm(*(x.denominator for _, x in cells))
-    return {c: x.numerator * (den // x.denominator) for c, x in cells}
+    return {c: x.numerator * (den // x.denominator) for c, x in cells}, den
 
 
 def _eliminate(v, b, p):
@@ -41,16 +39,23 @@ def _primitive(v):
     return {c: x // g for c, x in v.items()}
 
 
-def rref(rows, ncols):
-    """Reduced row echelon form.
+def echelon(rows, start):
+    """RREF of the row space's intersection with the columns >= start.
 
-    Returns (reduced_rows, pivot_columns); reduced_rows are the nonzero
-    rows, each starting with a unit pivot, with zeros above and below
-    every pivot.
+    Returns {pivot: primitive integer row, positive at its pivot}, columns
+    re-indexed from start.  A row is reduced by the head rows (pivots
+    before start, kept in forward echelon form only) until its lead
+    reaches start or is a new head pivot; the head rows are then dropped.
     """
-    basis = {}  # pivot column -> primitive integer row, positive at its pivot
-    for row in rows:
-        v = _integer_row(row)
+    head, basis = {}, {}
+    for v in rows:
+        lead = min(v, default=start)
+        while lead < start and lead in head:
+            v = _eliminate(v, head[lead], lead)
+            lead = min(v, default=start)
+        if lead < start:
+            head[lead] = _primitive(v)
+            continue
         for p in [c for c in v if c in basis]:
             v = _eliminate(v, basis[p], p)
         if not v:
@@ -61,39 +66,37 @@ def rref(rows, ncols):
             if lead in b:
                 basis[p] = _primitive(_eliminate(b, v, lead))
         basis[lead] = v
+    return {p - start: {c - start: x for c, x in b.items()} for p, b in basis.items()}
+
+
+def rref(rows, ncols):
+    """(reduced_rows, pivot_columns) of dense rational rows: the nonzero
+    rows of the RREF as tuples of Fractions, with unit pivots."""
+    basis = echelon([_integral(enumerate(row))[0] for row in rows], 0)
     pivots = tuple(sorted(basis))
-    zero = Fraction(0)
-    out = []
-    for p in pivots:
-        b = basis[p]
-        dense = [zero] * ncols
-        for c, x in b.items():
-            dense[c] = Fraction(x, b[p])
-        out.append(tuple(dense))
-    return out, pivots
+    return [dense_row(basis[p], p, ncols) for p in pivots], pivots
+
+
+def dense_row(b, p, ncols):
+    """The integer row b with pivot p as a tuple of Fractions, unit at p."""
+    return tuple(Fraction(b.get(c, 0), b[p]) for c in range(ncols))
 
 
 def rank(rows, ncols):
     return len(rref(rows, ncols)[0])
 
 
-def reduce_vector(rows, pivots, vec):
-    """Residual {column: Fraction} of a sparse vec modulo the span of RREF rows.
-
-    The residual is empty exactly when vec lies in the span.
-    """
-    v = {c: Fraction(x) for c, x in vec.items() if x}
-    for row, p in zip(rows, pivots):
-        c = v.get(p)
-        if c:
-            for k, b in enumerate(row):
-                if b:
-                    y = v.get(k, 0) - c * b
-                    if y:
-                        v[k] = y
-                    else:
-                        del v[k]
-    return v
+def reduce_vector(basis, vec):
+    """Residual {column: Fraction} of a sparse vec modulo an echelon basis;
+    it is empty exactly when vec lies in the span."""
+    v, den = _integral(vec.items())
+    # each basis row is zero at the other pivots, so eliminating one pivot
+    # only rescales v at the others
+    for p in basis.keys() & v.keys():
+        b = basis[p]
+        den *= b[p] // gcd(b[p], v[p])
+        v = _eliminate(v, b, p)
+    return {c: Fraction(x, den) for c, x in v.items()}
 
 
 def kernel(rows, ncols):

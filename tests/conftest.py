@@ -9,8 +9,11 @@ value exists, cross-checked against it.
 """
 
 import contextlib
+import importlib.util
 import io
 from fractions import Fraction
+from math import lcm
+from pathlib import Path
 
 import pytest
 
@@ -89,12 +92,36 @@ def j_piece(sys_, D):
         if not ambient or not g:
             continue
         for m in monomial_basis(fan, D - sys_.beta_divisor + ray_divisor(fan, rho)):
-            row = [0] * len(ambient)
-            for e, c in g.items():
-                row[column[tuple(a + b for a, b in zip(e, m))]] = c
-            rows.append(row)
-    rows, pivots = linalg.rref(rows, len(ambient))
-    return GradedSubspace(ambient, tuple(rows), tuple(pivots))
+            rows.append(integer_row((column[tuple(a + b for a, b in zip(e, m))], c)
+                                    for e, c in g.items()))
+    return GradedSubspace(ambient, linalg.echelon(rows, 0))
+
+
+def j1_by_slicing(sys_, D):
+    """(rows, pivots) of the J1 piece by the earlier route: one dense rref of
+    the J0 products m * g_rho at D - K, written with the rational Euler
+    terms over the whole target piece with the columns outside
+    prod x_rho * S_D first, then the rows with pivots in it, sliced."""
+    ambient = monomial_basis(sys_.fan, D)
+    if not ambient:
+        return (), ()
+    target = D - canonical_divisor(sys_.fan)
+    shifted = [tuple(a + 1 for a in e) for e in ambient]
+    inside = set(shifted)
+    order = [e for e in monomial_basis(sys_.fan, target) if e not in inside] + shifted
+    offset = len(order) - len(shifted)
+    column = {e: k for k, e in enumerate(order)}
+    dense = []
+    for m in monomial_basis(sys_.fan, target - sys_.beta_divisor):
+        for g in sys_.euler_terms:
+            if g.terms:
+                row = [0] * len(order)
+                for e, c in g.terms.items():
+                    row[column[tuple(a + b for a, b in zip(e, m))]] = c
+                dense.append(row)
+    rows, pivots = linalg.rref(dense, len(order))
+    kept = [(row[offset:], p - offset) for row, p in zip(rows, pivots) if p >= offset]
+    return tuple(r for r, _ in kept), tuple(p for _, p in kept)
 
 
 def pairing_matrix(sys_, Da, Db):
@@ -135,6 +162,13 @@ def multiplication_rank(sys_, eta, D_from, D_to):
 def row_terms(ambient, row):
     """A dense coordinate row as {exponents: coefficient}."""
     return {e: c for e, c in zip(ambient, row) if c}
+
+
+def integer_row(cells):
+    """Nonzero (column, rational) cells as one {column: int} row, denominators cleared."""
+    cells = [(c, Fraction(x)) for c, x in cells if x]
+    den = lcm(*(x.denominator for _, x in cells))
+    return {c: int(x * den) for c, x in cells}
 
 
 def dense_reduce(rows, pivots, vec):
@@ -246,3 +280,27 @@ def battery(h1, h2, p1xp1, dp7_fan, trigonal_systems):
         "genus": 8, "r1_beta": 17,
     })
     return entries
+
+
+def _perfbench_workloads():
+    """perfbench/workloads.py, loaded read-only without touching sys.path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def generic_systems():
+    """JacobianSystems of the benchmark's generic sections at seeds 1 and 5."""
+    workloads = _perfbench_workloads()
+    out = []
+    for seed in (1, 5):
+        for command, sections in (("find-eta", workloads.FIND_ETA_SECTIONS),
+                                  ("criterion", workloads.CRITERION_SECTIONS)):
+            for key, argv in workloads.generic_ops(command, sections, seed, False):
+                fan = builtin_surface(argv[argv.index("--surface") + 1])
+                f = poly_from_text(fan, argv[argv.index("--poly") + 1])
+                out.append((f"seed {seed} {key}", JacobianSystem(fan, f)))
+    return out

@@ -1,8 +1,9 @@
 import json
+import time
 
 import pytest
 
-from toricjac import criterion
+from toricjac import cli, criterion
 from toricjac.divisors import canonical_divisor, pic_class
 from toricjac.jacobian import JacobianSystem
 
@@ -210,6 +211,22 @@ def test_basis_json():
     assert data["dimension"] == 5
     assert data["monomials"][0] == "x1*x4"
     assert len(data["exponents"]) == 5
+
+
+def test_basis_refuses_an_oversized_class_quickly(monkeypatch):
+    monkeypatch.setattr(cli, "monomial_basis", _must_not_run)
+    start = time.perf_counter()
+    code, out, err = run_cli(["basis", "--surface", "p1xp1", "--class", "2000,2000"])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "error: the piece has dimension 4004001, above --max-dim 100000\n"
+
+
+def test_basis_max_dim_is_inclusive():
+    argv = ["basis", "--class", "2,1"] + H1
+    assert run_cli(argv + ["--max-dim", "5"])[0] == 0
+    code, out, err = run_cli(argv + ["--max-dim", "4"])
+    assert (code, out) == (2, "") and "dimension 5, above --max-dim 4" in err
 
 
 def test_nondegenerate_text(p1xp1):

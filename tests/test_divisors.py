@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import ceil, floor
 
 import pytest
 
@@ -9,7 +10,9 @@ from toricjac.divisors import (PicClass, TorusDivisor, canonical_divisor,
                                polytope, principal_divisor, ray_divisor,
                                representative)
 from toricjac.errors import InputError
-from toricjac.fan import build_hirzebruch, build_p2, builtin_surface
+from toricjac.fan import build_hirzebruch, build_p2, builtin_surface, fan_from_json
+
+from conftest import DP7_RAYS
 
 
 def test_hirzebruch_classes():
@@ -123,6 +126,50 @@ def test_polytope_and_h0_basics():
     assert h0(fan, TorusDivisor((0, 0, 0, 0))) == 1
     assert h0(fan, canonical_divisor(fan)) == 0
     assert h0(fan, divisor_from_labels(fan, {"x1": -1})) == 0
+
+
+def bounding_box_polytope(fan, D):
+    """Reference: test every lattice point of the vertices' bounding box."""
+    ineqs = [(u, a) for u, a in zip(fan.rays, D.coeffs)]
+
+    def feasible(mx, my):
+        return all(u[0] * mx + u[1] * my + a >= 0 for u, a in ineqs)
+
+    verts = []
+    for i, (ui, ai) in enumerate(ineqs):
+        for uj, aj in ineqs[i + 1:]:
+            d = ui[0] * uj[1] - ui[1] * uj[0]
+            if d:
+                v = (Fraction(aj * ui[1] - ai * uj[1], d),
+                     Fraction(ai * uj[0] - aj * ui[0], d))
+                if feasible(*v):
+                    verts.append(v)
+    if not verts:
+        return ()
+    xs, ys = [v[0] for v in verts], [v[1] for v in verts]
+    return tuple((x, y) for x in range(ceil(min(xs)), floor(max(xs)) + 1)
+                 for y in range(ceil(min(ys)), floor(max(ys)) + 1) if feasible(x, y))
+
+
+def test_polytope_matches_bounding_box_oracle():
+    names = ("p2", "p1xp1", "hirzebruch:1", "hirzebruch:2", "hirzebruch:3", "hirzebruch:5")
+    fans = [builtin_surface(name) for name in names]
+    for rays in (DP7_RAYS,
+                 [[1, 0], [1, 1], [0, 1], [-1, 0], [-1, -1], [0, -1]],
+                 [[1, 0], [2, 1], [1, 1], [0, 1], [-1, -3], [0, -1]]):
+        fans.append(fan_from_json({"rays": rays}))
+    rng = random.Random(5)
+    sizes = set()
+    for fan in fans:
+        divisors = [TorusDivisor((0,) * fan.n), canonical_divisor(fan)]
+        divisors += [TorusDivisor(tuple(rng.randint(-3, 6) for _ in range(fan.n)))
+                     for _ in range(60)]
+        for D in divisors:
+            want = bounding_box_polytope(fan, D)
+            assert polytope(fan, D) == want, (fan.rays, D)
+            assert h0(fan, D) == len(want)
+            sizes.add(min(len(want), 2))
+    assert sizes == {0, 1, 2}  # empty, one-point and larger polytopes all occur
 
 
 def test_h0_closed_form_small_grid():

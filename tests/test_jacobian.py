@@ -11,8 +11,8 @@ from toricjac.fan import builtin_surface
 from toricjac.jacobian import JacobianSystem
 from toricjac import linalg
 
-from conftest import (H2_TRIGONAL, TRIGONAL_D5, dense_reduce, j1_dim_brute,
-                      j_piece, lambda_section, multiplication_rank,
+from conftest import (H2_TRIGONAL, TRIGONAL_D5, dense_reduce, j1_by_slicing,
+                      j1_dim_brute, j_piece, lambda_section, multiplication_rank,
                       pairing_matrix, row_terms)
 
 
@@ -259,16 +259,16 @@ def test_j1_rows_shift_into_j0(battery, p1xp1):
 def test_j1_piece_is_one_elimination(h1, monkeypatch):
     sys_ = JacobianSystem(h1, poly_from_text(h1, TRIGONAL_D5))
     calls = []
-    rref = linalg.rref
+    echelon = linalg.echelon
 
-    def counted(rows, ncols):
+    def counted(rows, start):
         calls.append(len(rows))
-        return rref(rows, ncols)
+        return echelon(rows, start)
 
     def forbidden(*args):
         raise AssertionError("j1_piece must not take this route")
 
-    monkeypatch.setattr(linalg, "rref", counted)
+    monkeypatch.setattr(linalg, "echelon", counted)
     monkeypatch.setattr(linalg, "kernel", forbidden)
     monkeypatch.setattr(JacobianSystem, "j0_piece", forbidden)
     assert sys_.j1_piece(sys_.beta_divisor).dim == 7
@@ -296,13 +296,13 @@ def test_pieces_build_no_polynomials(h1, monkeypatch):
 def test_pieces_are_cached_by_class(h1, monkeypatch):
     sys_ = JacobianSystem(h1, poly_from_text(h1, TRIGONAL_D5))
     calls = []
-    rref = linalg.rref
+    echelon = linalg.echelon
 
-    def counted(rows, ncols):
-        calls.append(ncols)
-        return rref(rows, ncols)
+    def counted(rows, start):
+        calls.append(start)
+        return echelon(rows, start)
 
-    monkeypatch.setattr(linalg, "rref", counted)
+    monkeypatch.setattr(linalg, "echelon", counted)
     D = sys_.beta_divisor
     moved = D + principal_divisor(h1, (2, -1))
     assert moved != D
@@ -312,3 +312,16 @@ def test_pieces_are_cached_by_class(h1, monkeypatch):
     piece = sys_.j0_piece(moved)
     assert sys_.j0_piece(D) is piece
     assert len(calls) == 2
+
+
+def test_j1_piece_equals_rref_then_slice(battery, generic_systems):
+    # the commands read J1 at beta, beta + K, 2beta + K and 2beta + 2K; the
+    # battery also checks the top class 3beta + 2K
+    systems = [(entry["name"], entry["sys"], True) for entry in battery]
+    systems += [(name, sys_, False) for name, sys_ in generic_systems]
+    for name, sys_, top in systems:
+        beta, K = sys_.beta_divisor, canonical_divisor(sys_.fan)
+        classes = [beta, beta + K, 2 * beta + K, 2 * beta + 2 * K]
+        for D in classes + [3 * beta + 2 * K] * top:
+            piece = sys_.j1_piece(D)
+            assert (piece.rows, piece.pivots) == j1_by_slicing(sys_, D), name

@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from toricjac.cox import poly_from_text
 from toricjac.divisors import canonical_divisor, divisor_from_labels
 from toricjac.jacobian import JacobianSystem
-from toricjac.linalg import kernel, rank, reduce_vector, rref
+from toricjac.linalg import echelon, kernel, rank, reduce_vector, rref
 
-from conftest import dense_reduce
+from conftest import dense_reduce, integer_row
 
 
 def F(x):
@@ -75,11 +77,15 @@ def test_rank_simple():
 
 
 def test_reduce_vector_membership():
-    rows, pivots = rref([[F(1), F(1), F(0)], [F(0), F(1), F(1)]], 3)
+    basis = echelon([{0: 1, 1: 1}, {1: 1, 2: 1}], 0)
     inside = {0: F(2), 1: F(3), 2: F(1)}  # 2*(r1) + 1*(r2) in the original span
     outside = {2: F(5)}
-    assert reduce_vector(rows, pivots, inside) == {}
-    assert reduce_vector(rows, pivots, outside) == {2: F(5)}
+    assert reduce_vector(basis, inside) == {}
+    assert reduce_vector(basis, outside) == {2: F(5)}
+
+
+def integer_rows(mat):
+    return [integer_row(enumerate(row)) for row in mat]
 
 
 def test_reduce_vector_matches_dense_reference():
@@ -91,10 +97,98 @@ def test_reduce_vector_matches_dense_reference():
         rows, pivots = rref(mat, ncols)
         vec = rng.choice([[rng.randint(-5, 5) for _ in range(ncols)],
                           random_matrix(rng, 1, ncols)[0]])
-        got = reduce_vector(rows, pivots, {k: x for k, x in enumerate(vec) if x})
+        got = reduce_vector(echelon(integer_rows(mat), 0),
+                            {k: x for k, x in enumerate(vec) if x})
         assert all(isinstance(x, Fraction) and x for x in got.values())
         dense = [got.get(k, Fraction(0)) for k in range(ncols)]
         assert dense == dense_reduce(rows, pivots, vec)
+
+
+def rank_deficient(draw, nrows, ncols, rank):
+    """An nrows x ncols integer matrix C * G of rank at most rank, as dense rows."""
+    entry = st.integers(-6, 6)
+    gens = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=rank, max_size=rank))
+    combos = draw(st.lists(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank),
+                           min_size=nrows, max_size=nrows))
+    return [[sum(c * g[k] for c, g in zip(combo, gens)) for k in range(ncols)]
+            for combo in combos]
+
+
+@st.composite
+def matrices(draw):
+    nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(1, 8))
+    mat = rank_deficient(draw, nrows, ncols, draw(st.integers(0, min(nrows, ncols))))
+    # sparsify whole columns so that leads spread out
+    for k in draw(st.sets(st.integers(0, ncols - 1), max_size=ncols // 2)):
+        for row in mat:
+            row[k] = 0
+    return mat, ncols
+
+
+def null_space(rows, ncols):
+    """Dense basis of {x : rows * x = 0}, from the reference Gauss-Jordan."""
+    red, pivots = dense_rref(rows, ncols)
+    basis = []
+    for free in (k for k in range(ncols) if k not in pivots):
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for row, p in zip(red, pivots):
+            v[p] = -row[free]
+        basis.append(v)
+    return basis
+
+
+def tail_oracle(mat, ncols, start):
+    """Dense RREF of (row space ∩ {columns >= start}), re-indexed from start.
+
+    The combinations y of the rows with y * mat zero before start are the
+    null space of the transposed head block; their images span the
+    intersection.
+    """
+    nrows = len(mat)
+    head = [[mat[i][k] for i in range(nrows)] for k in range(start)]
+    combos = null_space(head, nrows) if start else (
+        [[Fraction(int(i == j)) for j in range(nrows)] for i in range(nrows)])
+    images = [[sum(y[i] * mat[i][k] for i in range(nrows)) for k in range(start, ncols)]
+              for y in combos]
+    return dense_rref(images, ncols - start)
+
+
+# derandomized and without an example database, so every run is the same
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@PROPERTY
+@given(matrices(), st.data())
+def test_echelon_matches_dense_oracle_of_the_tail(matrix, data):
+    mat, ncols = matrix
+    for start in (0, ncols // 2, ncols, data.draw(st.integers(0, ncols))):
+        basis = echelon(integer_rows(mat), start)
+        width = ncols - start
+        for p, b in basis.items():
+            assert min(b) == p and b[p] > 0 and all(type(x) is int for x in b.values())
+            assert all(q == p or q not in b for q in basis)
+            assert all(0 <= c < width for c in b)
+        pivots = tuple(sorted(basis))
+        rows = [tuple(Fraction(basis[p].get(c, 0), basis[p][p]) for c in range(width))
+                for p in pivots]
+        assert (rows, pivots) == tail_oracle(mat, ncols, start)
+
+
+@PROPERTY
+@given(matrices(), st.data())
+def test_reduce_vector_matches_dense_reference_property(matrix, data):
+    mat, ncols = matrix
+    rational = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+    vec = data.draw(st.lists(st.one_of(st.integers(-9, 9), rational),
+                             min_size=ncols, max_size=ncols))
+    empty = data.draw(st.booleans())
+    rows, pivots = dense_rref([] if empty else mat, ncols)
+    got = reduce_vector(echelon([] if empty else integer_rows(mat), 0),
+                        {k: x for k, x in enumerate(vec) if x})
+    assert all(type(x) is Fraction and x for x in got.values())
+    assert [got.get(k, 0) for k in range(ncols)] == dense_reduce(rows, pivots, vec)
 
 
 def test_kernel_annihilates_rows():
@@ -144,7 +238,8 @@ def test_rref_matches_dense_reference_random():
 def j0_product_matrices(sys_, D):
     """The J0 products at class(D) in ambient order and in reversed order."""
     ambient = sys_.j0_piece(D).ambient
-    rows = sys_._j0_rows(D, ambient)
+    rows = [[row.get(k, 0) for k in range(len(ambient))]
+            for row in sys_._j0_rows(D, ambient)]
     return [(rows, len(ambient)), ([row[::-1] for row in rows], len(ambient))]
 
 
