@@ -1,11 +1,13 @@
 """Command line front end.
 
-Every command prints a deterministic report (text by default, JSON with
---json) and exits 0 on success, 2 on invalid input, 1 on an internal
-invariant failure.
+The parser is built once per process from the command table ``_COMMANDS``,
+on the first call of ``main`` (never at import).  Every command prints a
+deterministic report (text by default, JSON with --json) and exits 0 on
+success, 2 on invalid input, 1 on an internal invariant failure.
 """
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -24,96 +26,25 @@ from .jacobian import JacobianSystem
 MAX_BASIS_DIM = 100_000
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="toricjac",
-        description="Toric Jacobian rings on smooth complete toric surfaces, "
-                    "with a maximal-rank deformation criterion.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _opt(*flags, **kwargs):
+    return flags, kwargs
 
-    def add_surface(p):
-        p.add_argument("--surface",
-                       help="builtin surface: hirzebruch:r, p2, or p1xp1")
-        p.add_argument("--fan-file", help="JSON file with rays and labels")
 
-    def add_class(p, class_of=False):
-        p.add_argument("--class", dest="class_arg", metavar="COORDS",
-                       help="divisor class; on Hirzebruch surfaces 'a,b' "
-                            "means a*D1 + b*D2")
-        if class_of:
-            p.add_argument("--class-of", dest="class_of", metavar="EXPR",
-                           help="class expression in beta and K, e.g. 2beta+2K")
-
-    def add_poly(p):
-        p.add_argument("--poly", help="polynomial expression, e.g. x1^5*x2^3+x4")
-        p.add_argument("--poly-file", help="polynomial file (JSON or expression)")
-
-    def add_json(p):
-        p.add_argument("--json", dest="json_out", action="store_true",
-                       help="emit JSON instead of text")
-
-    p = sub.add_parser("describe-surface", help="rays, cones, intersection data")
-    add_surface(p)
-    add_json(p)
-
-    p = sub.add_parser("basis", help="monomial basis of a graded piece")
-    add_surface(p)
-    add_class(p, class_of=True)
-    add_poly(p)
-    p.add_argument("--max-dim", type=int, default=MAX_BASIS_DIM,
-                   help="refuse a piece of larger dimension (default %(default)s)")
-    add_json(p)
-
-    p = sub.add_parser("nondegenerate", help="chart decision, optional certificate")
-    add_surface(p)
-    add_poly(p)
-    p.add_argument("--kmax", type=int, default=None,
-                   help="also try the saturation certificate up to this power")
-    add_json(p)
-
-    p = sub.add_parser("hilbert", help="dimensions of S, J1 and R1 at a class")
-    add_surface(p)
-    add_class(p, class_of=True)
-    add_poly(p)
-    p.add_argument("--dump-subspaces", action="store_true",
-                   help="include the echelon basis of the J1 piece")
-    add_json(p)
-
-    p = sub.add_parser("criterion", help="full certification report")
-    add_surface(p)
-    add_class(p)
-    add_poly(p)
-    add_json(p)
-
-    p = sub.add_parser("quick-criterion", help="threshold form of the criterion")
-    add_surface(p)
-    add_class(p)
-    add_poly(p)
-    add_json(p)
-
-    p = sub.add_parser("find-eta", help="search for a rank-g deformation class")
-    add_surface(p)
-    add_class(p)
-    add_poly(p)
-    p.add_argument("--attempts", type=int, default=32)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    add_json(p)
-
-    p = sub.add_parser("paper-table",
-                       help="dimension table of the built-in trigonal family")
-    p.add_argument("--dmin", type=int, default=5)
-    p.add_argument("--dmax", type=int, default=10)
-    add_json(p)
-
-    return parser
+SURFACE = (_opt("--surface", help="builtin surface: hirzebruch:r, p2, or p1xp1"),
+           _opt("--fan-file", help="JSON file with rays and labels"))
+CLASS = (_opt("--class", dest="class_arg", metavar="COORDS",
+              help="divisor class; on Hirzebruch surfaces 'a,b' means a*D1 + b*D2"),)
+CLASS_OF = CLASS + (_opt("--class-of", dest="class_of", metavar="EXPR",
+                         help="class expression in beta and K, e.g. 2beta+2K"),)
+POLY = (_opt("--poly", help="polynomial expression, e.g. x1^5*x2^3+x4"),
+        _opt("--poly-file", help="polynomial file (JSON or expression)"))
 
 
 def _load_fan(args):
     if args.surface and args.fan_file:
         raise InputError("give either --surface or --fan-file, not both")
     if args.surface:
-        kind = "p2" if args.surface == "p2" else "hirzebruch"
-        return builtin_surface(args.surface), kind
+        return builtin_surface(args.surface)
     if args.fan_file:
         try:
             with open(args.fan_file) as fh:
@@ -122,7 +53,7 @@ def _load_fan(args):
             raise InputError(f"cannot read fan file: {e}") from None
         except json.JSONDecodeError as e:
             raise InputError(f"fan file is not valid JSON: {e}") from None
-        return fan_from_json(data), "file"
+        return fan_from_json(data)
     raise InputError("a surface is required (--surface or --fan-file)")
 
 
@@ -137,13 +68,13 @@ def _parse_ints(text, want, what):
         raise InputError(f"{what} must be integers, got {text!r}") from None
 
 
-def _divisor_from_class_arg(fan, kind, text):
-    if kind == "hirzebruch":
-        a, b = _parse_ints(text, 2, "--class")
-        return divisor_from_labels(fan, {"x1": a, "x2": b})
-    if kind == "p2":
+def _divisor_from_class_arg(fan, surface, text):
+    if surface == "p2":
         (d,) = _parse_ints(text, 1, "--class")
         return divisor_from_labels(fan, {fan.labels[0]: d})
+    if surface:  # a Hirzebruch surface, p1xp1 included
+        a, b = _parse_ints(text, 2, "--class")
+        return divisor_from_labels(fan, {"x1": a, "x2": b})
     vec = _parse_ints(text, fan.n - 2, "--class")
     return representative(fan, PicClass(tuple(vec), fan.basis_id))
 
@@ -199,27 +130,28 @@ def _load_poly(fan, args):
     raise InputError("a polynomial is required (--poly or --poly-file)")
 
 
-def _beta_divisor(fan, kind, args, f=None):
+def _inputs(args, need_f):
+    """(fan, f, D): the surface, the section (None when optional and not
+    given) and the divisor of --class / --class-of, else of f's class."""
+    fan = _load_fan(args)
+    f = _load_poly(fan, args) if need_f or args.poly or args.poly_file else None
+    has_f = f is not None and not f.is_zero()
+    D = TorusDivisor(sorted(f.terms)[0]) if has_f else None
     if args.class_arg is not None:
-        D = _divisor_from_class_arg(fan, kind, args.class_arg)
-        if f is not None and not f.is_zero():
-            if f.homogeneous_class() != pic_class(fan, D):
-                raise InputError("the polynomial's class does not match --class")
-        return D
-    if f is not None and not f.is_zero():
-        return TorusDivisor(sorted(f.terms)[0])
-    return None
-
-
-def _emit(args, payload, text):
-    if args.json_out:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(text)
+        D = _divisor_from_class_arg(fan, args.surface, args.class_arg)
+        if has_f and f.homogeneous_class() != pic_class(fan, D):
+            raise InputError("the polynomial's class does not match --class")
+    if args.class_of is not None:
+        D = _resolve_class_of(args.class_of, D, canonical_divisor(fan))
+    if D is None:
+        # commands that need f take beta from --class or f, never --class-of
+        raise InputError("a class for beta is required (--class or --poly)" if need_f
+                         else "a class is required (--class, --class-of, or --poly)")
+    return fan, f, D
 
 
 def _cmd_describe(args):
-    fan, _ = _load_fan(args)
+    fan = _load_fan(args)
     selfs = fan.self_intersections()
     K = canonical_divisor(fan)
     kcls = pic_class(fan, K)
@@ -244,26 +176,11 @@ def _cmd_describe(args):
     lines.append(f"canonical class: {kcls.vec}")
     lines.append(f"K^2 = {payload['K2']}")
     lines.append("Pic basis: classes of the rays " + ", ".join(payload["pic_basis_rays"]))
-    _emit(args, payload, "\n".join(lines))
-    return 0
-
-
-def _query_divisor(fan, kind, args):
-    """Divisor named by --class / --class-of, resolving beta when needed."""
-    f = None
-    if args.poly or args.poly_file:
-        f = _load_poly(fan, args)
-    beta = _beta_divisor(fan, kind, args, f)
-    if args.class_of is not None:
-        return _resolve_class_of(args.class_of, beta, canonical_divisor(fan)), f
-    if beta is None:
-        raise InputError("a class is required (--class, --class-of, or --poly)")
-    return beta, f
+    return payload, "\n".join(lines)
 
 
 def _cmd_basis(args):
-    fan, kind = _load_fan(args)
-    D, _ = _query_divisor(fan, kind, args)
+    fan, _, D = _inputs(args, need_f=False)
     dim = h0(fan, D)
     if dim > args.max_dim:
         raise InputError(f"the piece has dimension {dim}, above --max-dim {args.max_dim}")
@@ -279,14 +196,12 @@ def _cmd_basis(args):
     lines = [f"divisor: {tuple(D.coeffs)}  class {pic_class(fan, D).vec}",
              f"dimension: {len(basis)}"]
     lines += [f"  {name}" for name in names]
-    _emit(args, payload, "\n".join(lines))
-    return 0
+    return payload, "\n".join(lines)
 
 
 def _cmd_nondegenerate(args):
-    fan, _ = _load_fan(args)
-    f = _load_poly(fan, args)
-    sys_ = JacobianSystem(fan, f)
+    fan = _load_fan(args)
+    sys_ = JacobianSystem(fan, _load_poly(fan, args))
     # the certificate checks --kmax before the chart decision runs
     cert = None if args.kmax is None else sys_.saturation_certificate(args.kmax)
     verdict = sys_.nondegenerate_decide()
@@ -297,13 +212,11 @@ def _cmd_nondegenerate(args):
     if cert is not None:
         payload["certificate"] = cert.label
         lines.append(f"saturation certificate: {cert.label}")
-    _emit(args, payload, "\n".join(lines))
-    return 0
+    return payload, "\n".join(lines)
 
 
 def _cmd_hilbert(args):
-    fan, kind = _load_fan(args)
-    D, f = _query_divisor(fan, kind, args)
+    fan, f, D = _inputs(args, need_f=False)
     if f is None:
         raise InputError("hilbert needs the section f (--poly or --poly-file)")
     sys_ = JacobianSystem(fan, f)
@@ -327,27 +240,18 @@ def _cmd_hilbert(args):
             lines.append("  [" + ", ".join(str(x) for x in row) + "]")
         lines.append("ambient monomials: " +
                      " ".join(fan.monomial_label(e) for e in piece.ambient))
-    _emit(args, payload, "\n".join(lines))
-    return 0
+    return payload, "\n".join(lines)
 
 
-def _cmd_criterion(args, quick=False):
-    fan, kind = _load_fan(args)
-    f = _load_poly(fan, args)
-    beta = _beta_divisor(fan, kind, args, f)
-    if beta is None:
-        raise InputError("a class for beta is required (--class or --poly)")
-    report = quick_criterion(fan, beta, f) if quick else evaluate(fan, beta, f)
-    _emit(args, report.to_dict(), report.to_text())
-    return 0
+def _cmd_criterion(args):
+    fan, f, beta = _inputs(args, need_f=True)
+    quick = args.command == "quick-criterion"
+    report = (quick_criterion if quick else evaluate)(fan, beta, f)
+    return report.to_dict(), report.to_text()
 
 
 def _cmd_find_eta(args):
-    fan, kind = _load_fan(args)
-    f = _load_poly(fan, args)
-    beta = _beta_divisor(fan, kind, args, f)
-    if beta is None:
-        raise InputError("a class for beta is required (--class or --poly)")
+    fan, f, beta = _inputs(args, need_f=True)
     result = find_rank_g_deformation(fan, beta, f,
                                      attempts=args.attempts, seed=args.seed)
     payload = result.to_dict()
@@ -359,8 +263,7 @@ def _cmd_find_eta(args):
         lines.append(f"eta = {result.eta.to_text()}")
     else:
         lines.append(f"found: no  (best rank {result.best_rank})")
-    _emit(args, payload, "\n".join(lines))
-    return 0
+    return payload, "\n".join(lines)
 
 
 def _cmd_paper_table(args):
@@ -374,38 +277,72 @@ def _cmd_paper_table(args):
         lines.append(f"{row['d']:>3} {row['S_beta']:>7} {row['J1_beta']:>8} "
                      f"{row['R1_beta']:>8} {row['genus']:>4} "
                      f"{row['bound_value']:>6}  {row['verdict']}")
-    _emit(args, rows, "\n".join(lines))
-    return 0
+    return rows, "\n".join(lines)
 
 
+# name: (handler, help line, options).  A handler returns (JSON payload, text);
+# every command also takes --json.
 _COMMANDS = {
-    "describe-surface": _cmd_describe,
-    "basis": _cmd_basis,
-    "nondegenerate": _cmd_nondegenerate,
-    "hilbert": _cmd_hilbert,
-    "criterion": lambda args: _cmd_criterion(args, quick=False),
-    "quick-criterion": lambda args: _cmd_criterion(args, quick=True),
-    "find-eta": _cmd_find_eta,
-    "paper-table": _cmd_paper_table,
+    "describe-surface": (_cmd_describe, "rays, cones, intersection data", SURFACE),
+    "basis": (_cmd_basis, "monomial basis of a graded piece", (
+        *SURFACE, *CLASS_OF, *POLY,
+        _opt("--max-dim", type=int, default=MAX_BASIS_DIM,
+             help="refuse a piece of larger dimension (default %(default)s)"))),
+    "nondegenerate": (_cmd_nondegenerate, "chart decision, optional certificate", (
+        *SURFACE, *POLY,
+        _opt("--kmax", type=int, default=None,
+             help="also try the saturation certificate up to this power"))),
+    "hilbert": (_cmd_hilbert, "dimensions of S, J1 and R1 at a class", (
+        *SURFACE, *CLASS_OF, *POLY,
+        _opt("--dump-subspaces", action="store_true",
+             help="include the echelon basis of the J1 piece"))),
+    "criterion": (_cmd_criterion, "full certification report", (*SURFACE, *CLASS, *POLY)),
+    "quick-criterion": (_cmd_criterion, "threshold form of the criterion",
+                        (*SURFACE, *CLASS, *POLY)),
+    "find-eta": (_cmd_find_eta, "search for a rank-g deformation class", (
+        *SURFACE, *CLASS, *POLY,
+        _opt("--attempts", type=int, default=32),
+        _opt("--seed", type=int, default=DEFAULT_SEED))),
+    "paper-table": (_cmd_paper_table, "dimension table of the built-in trigonal family", (
+        _opt("--dmin", type=int, default=5),
+        _opt("--dmax", type=int, default=10))),
 }
+
+
+@functools.cache
+def _parser():
+    parser = argparse.ArgumentParser(
+        prog="toricjac",
+        description="Toric Jacobian rings on smooth complete toric surfaces, "
+                    "with a maximal-rank deformation criterion.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (function, help_, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        for flags, kwargs in options:
+            p.add_argument(*flags, **kwargs)
+        p.add_argument("--json", dest="json_out", action="store_true",
+                       help="emit JSON instead of text")
+        p.set_defaults(run=function, class_arg=None, class_of=None)
+    return parser
 
 
 def run(args):
     """Execute parsed arguments; returns the process exit code."""
     try:
-        return _COMMANDS[args.command](args)
+        payload, text = args.run(args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except InternalError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 1
+    print(json.dumps(payload, indent=2) if args.json_out else text)
+    return 0
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return e.code
     return run(args)
@@ -416,4 +353,4 @@ def entry():
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

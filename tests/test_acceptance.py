@@ -195,3 +195,27 @@ def test_acceptance_10_byte_identical_reruns(tmp_path):
         second = run_batch()
         assert first == second
         assert len(first) > 4000
+
+
+def test_acceptance_11_family_past_genus_15_through_the_cli():
+    with criterion(11, "trigonal family d=5..24 through the CLI"):
+        fraction_rank = conftest._perfbench_workloads().fraction_rank
+        code, out, err = run_cli(["paper-table", "--dmin", "5", "--dmax", "24",
+                                  "--json"])
+        assert (code, err) == (0, "")
+        rows = json.loads(out)
+        assert [row["d"] for row in rows] == list(range(5, 25))
+        for row in rows:
+            assert row["verdict"] == "certified", row
+            assert row["genus"] == 2 * row["d"] - 5
+            assert row["bound_value"] == row["genus"] - 4, row
+        for d in range(5, 25):
+            f_d = f"x1^{d}*x2^3 + x3^{d - 3}*x4^3 + x3^{d}*x2^3 + x1^{d - 3}*x4^3"
+            code, out, err = run_cli(["find-eta", "--json", "--class", f"{d},3",
+                                      "--poly", f_d] + H1_ARGS)
+            assert (code, err) == (0, ""), d
+            result = json.loads(out)
+            assert result["seed"] == 1729
+            assert result["found"], d
+            assert result["rank"] == result["genus"] == 2 * d - 5
+            assert fraction_rank(result["matrix"]) == result["rank"], d

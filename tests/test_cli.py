@@ -1,5 +1,10 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +16,7 @@ from conftest import (QUINTIC_55, TRIGONAL_D5, dense_section, lambda_section,
                       run_cli)
 
 H1 = ["--surface", "hirzebruch:1"]
+ROOT = Path(__file__).resolve().parents[1]
 
 ETA_D5 = ("3*x2^3*x3^5 - 2*x1*x2^3*x3^4 - x2^2*x3^4*x4 + 3*x1^2*x2^3*x3^3"
           " + 3*x1*x2^2*x3^3*x4 - x2*x3^3*x4^2 + x1^3*x2^3*x3^2"
@@ -176,6 +182,99 @@ def test_class_of_only_on_commands_that_read_it():
             [cmd, "--poly", TRIGONAL_D5, "--class-of", "2beta"] + H1)
         assert code == 2 and out == ""
         assert "unrecognized arguments: --class-of 2beta" in err
+
+
+# Every option of every command, with a value that makes the command fail fast.
+_OPTIONS = {
+    "--surface": ["nosuch"], "--fan-file": ["no/such/fan.json"],
+    "--class": ["5,3"], "--class-of": ["2beta"],
+    "--poly": [TRIGONAL_D5], "--poly-file": ["no/such/f.txt"],
+    "--max-dim": ["4"], "--kmax": ["9"], "--dump-subspaces": [],
+    "--attempts": ["2"], "--seed": ["7"], "--dmin": ["3"], "--dmax": ["3"],
+    "--json": [],
+}
+_SURFACE, _POLY = {"--surface", "--fan-file"}, {"--poly", "--poly-file"}
+_ACCEPTS = {
+    "describe-surface": _SURFACE | {"--json"},
+    "basis": _SURFACE | _POLY | {"--class", "--class-of", "--max-dim", "--json"},
+    "nondegenerate": _SURFACE | _POLY | {"--kmax", "--json"},
+    "hilbert": _SURFACE | _POLY | {"--class", "--class-of", "--dump-subspaces", "--json"},
+    "criterion": _SURFACE | _POLY | {"--class", "--json"},
+    "quick-criterion": _SURFACE | _POLY | {"--class", "--json"},
+    "find-eta": _SURFACE | _POLY | {"--class", "--attempts", "--seed", "--json"},
+    "paper-table": {"--dmin", "--dmax", "--json"},
+}
+
+
+def test_each_command_takes_exactly_its_options():
+    # every argv fails fast (no surface, a missing file or a bad range), so
+    # an accepted option shows as an input error, a foreign one as argparse's
+    for cmd, accepted in _ACCEPTS.items():
+        for option, values in _OPTIONS.items():
+            argv = [cmd, option, *values]
+            if cmd == "paper-table" and option == "--json":
+                argv += ["--dmin", "3"]
+            code, out, err = run_cli(argv)
+            assert code == 2 and out == "", argv
+            refused = f"unrecognized arguments: {' '.join([option, *values])}" in err
+            assert refused == (option not in accepted), (argv, err)
+
+
+def _fresh_process(argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-m", "toricjac", *argv], cwd=ROOT,
+                          env=env, capture_output=True, text=True)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_parser_is_built_once_and_reused(monkeypatch):
+    run_cli(["paper-table", "--dmin", "3"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run_cli(["basis", "--class", "2,1"] + H1)[0] == 0
+    assert run_cli(["describe-surface"])[0] == 2
+    assert built == []
+
+
+def test_import_builds_no_parser():
+    probe = ("import argparse\n"
+             "built = []\n"
+             "init = argparse.ArgumentParser.__init__\n"
+             "def counting(self, *a, **k):\n"
+             "    built.append(1)\n"
+             "    init(self, *a, **k)\n"
+             "argparse.ArgumentParser.__init__ = counting\n"
+             "import toricjac.cli as cli\n"
+             "after_import = len(built)\n"
+             "cli.main(['paper-table', '--dmin', '3'])\n"
+             "after_one = len(built)\n"
+             "cli.main(['describe-surface'])\n"
+             "print(after_import, after_one, len(built))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True)
+    # one top-level parser and one per command, all on the first call
+    assert done.stdout.split() == ["0", "9", "9"], done.stderr
+
+
+def test_interleaved_commands_carry_no_state():
+    pairs = [
+        (["find-eta", "--class", "5,3", "--poly", TRIGONAL_D5] + H1, ["--seed", "7"]),
+        (["hilbert", "--poly", TRIGONAL_D5, "--class-of", "2beta+2K"] + H1,
+         ["--dump-subspaces"]),
+        (["basis", "--class", "2,1"] + H1, ["--max-dim", "4"]),
+        (["nondegenerate", "--poly", TRIGONAL_D5] + H1, ["--kmax", "9"]),
+    ]
+    argvs = [argv for base, extra in pairs for argv in (base + extra, base)]
+    in_process = [run_cli(argv) for argv in argvs]
+    for argv, result in zip(argvs, in_process):
+        assert result == _fresh_process(argv), argv
 
 
 def test_blank_class_is_refused():
