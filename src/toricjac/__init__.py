@@ -9,11 +9,9 @@ maximal rank g.
 from .errors import InputError, InternalError
 from .fan import (Fan, build_hirzebruch, build_p2, builtin_surface,
                   fan_from_json, validate)
-from .divisors import (TorusDivisor, PicClass,
-                       canonical_divisor, divisor_from_labels,
-                       euler_characteristic, genus, h0, intersect, is_ample,
-                       pic_class, polytope, principal_divisor, ray_divisor,
-                       representative)
+from .divisors import (TorusDivisor, PicClass, canonical_divisor,
+                       divisor_from_labels, genus, h0, intersect, is_ample,
+                       pic_class, polytope, ray_divisor, representative)
 from .cox import (CoxPolynomial, monomial_basis, multidegree, poly_from_json,
                   poly_from_text)
 from .jacobian import GradedSubspace, JacobianSystem, NondegeneracyVerdict
@@ -29,9 +27,8 @@ __all__ = [
     "Fan", "build_hirzebruch", "build_p2", "builtin_surface", "fan_from_json",
     "validate",
     "TorusDivisor", "PicClass", "canonical_divisor",
-    "divisor_from_labels", "euler_characteristic", "genus", "h0", "intersect",
-    "is_ample", "pic_class", "polytope", "principal_divisor", "ray_divisor",
-    "representative",
+    "divisor_from_labels", "genus", "h0", "intersect", "is_ample",
+    "pic_class", "polytope", "ray_divisor", "representative",
     "CoxPolynomial", "monomial_basis", "multidegree", "poly_from_json",
     "poly_from_text",
     "GradedSubspace", "JacobianSystem", "NondegeneracyVerdict",

@@ -22,7 +22,8 @@ from .fan import builtin_surface, fan_from_json
 from .jacobian import JacobianSystem
 
 
-# basis lists h0 monomials; on p1xp1 the class (2000,2000) has 4,004,001
+# basis lists h0 monomials; on p1xp1 the class (2000,2000) has 4,004,001.
+# hilbert refuses a J1 piece whose elimination ambient h0(D - K) is larger.
 MAX_BASIS_DIM = 100_000
 
 
@@ -135,12 +136,15 @@ def _inputs(args, need_f):
     given) and the divisor of --class / --class-of, else of f's class."""
     fan = _load_fan(args)
     f = _load_poly(fan, args) if need_f or args.poly or args.poly_file else None
-    has_f = f is not None and not f.is_zero()
-    D = TorusDivisor(sorted(f.terms)[0]) if has_f else None
+    D = None
     if args.class_arg is not None:
         D = _divisor_from_class_arg(fan, args.surface, args.class_arg)
-        if has_f and f.homogeneous_class() != pic_class(fan, D):
+        if f is not None and not f.is_zero() and f.homogeneous_class() != pic_class(fan, D):
             raise InputError("the polynomial's class does not match --class")
+    elif f is not None:
+        if f.is_zero():
+            raise InputError("f must be nonzero")
+        D = TorusDivisor(sorted(f.terms)[0])
     if args.class_of is not None:
         D = _resolve_class_of(args.class_of, D, canonical_divisor(fan))
     if D is None:
@@ -220,6 +224,11 @@ def _cmd_hilbert(args):
     if f is None:
         raise InputError("hilbert needs the section f (--poly or --poly-file)")
     sys_ = JacobianSystem(fan, f)
+    # the J1 piece is one elimination in the piece of class D - K
+    dim = h0(fan, D - canonical_divisor(fan))
+    if dim > MAX_BASIS_DIM:
+        raise InputError(f"the J1 elimination works in dimension {dim}, "
+                         f"above {MAX_BASIS_DIM}")
     s_dim = sys_.section_dim(D)
     piece = sys_.j1_piece(D)
     payload = {

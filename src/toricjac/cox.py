@@ -80,11 +80,6 @@ class CoxPolynomial:
                 raise InputError("polynomial is not homogeneous")
         return cls
 
-    def euler_term(self, i):
-        """x_i * d/dx_i, which preserves the class of each term."""
-        terms = {e: c * e[i] for e, c in self.terms.items() if e[i]}
-        return CoxPolynomial(self.fan, terms)
-
     def sorted_terms(self):
         return [(e, self.terms[e]) for e in sorted(self.terms, reverse=True)]
 

@@ -1,5 +1,5 @@
 """Divisors on a toric surface: Picard classes, intersection numbers,
-ampleness, section polytopes, Riemann-Roch and adjunction."""
+ampleness, section polytopes and adjunction."""
 
 from dataclasses import dataclass
 from itertools import combinations
@@ -30,9 +30,6 @@ class TorusDivisor:
 
     def __sub__(self, other):
         return TorusDivisor(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        return TorusDivisor(tuple(-a for a in self.coeffs))
 
     def __mul__(self, k):
         return TorusDivisor(tuple(k * a for a in self.coeffs))
@@ -93,11 +90,6 @@ def canonical_divisor(fan):
     return TorusDivisor((-1,) * fan.n)
 
 
-def principal_divisor(fan, m):
-    """div of the character of m in M: coefficients <m, u_rho>."""
-    return TorusDivisor(tuple(m[0] * u[0] + m[1] * u[1] for u in fan.rays))
-
-
 def pic_class(fan, D):
     """Class of D in the fixed basis.
 
@@ -139,27 +131,9 @@ def intersect(fan, D, E):
 
 
 def is_ample(fan, D):
-    """Strict convexity of the support function, via the Cartier data.
-
-    For each maximal cone the unique m_sigma with <m_sigma, u_i> = -a_i on
-    the cone's rays must satisfy <m_sigma, u> > -a strictly on every other
-    ray.
-    """
-    _check_len(fan, D)
-    for i, j in fan.maximal_cones:
-        ui, uj = fan.rays[i], fan.rays[j]
-        # dual basis of (ui, uj); their determinant is +1
-        m1 = (uj[1], -uj[0])
-        m2 = (-ui[1], ui[0])
-        ai, aj = D.coeffs[i], D.coeffs[j]
-        ms = (-ai * m1[0] - aj * m2[0], -ai * m1[1] - aj * m2[1])
-        for k in range(fan.n):
-            if k == i or k == j:
-                continue
-            u = fan.rays[k]
-            if ms[0] * u[0] + ms[1] * u[1] <= -D.coeffs[k]:
-                return False
-    return True
+    """Toric Kleiman criterion: D is ample exactly when D.D_rho > 0 for
+    every invariant curve D_rho (Cox-Little-Schenck, Thm 6.3.13)."""
+    return all(intersect(fan, D, ray_divisor(fan, i)) > 0 for i in range(fan.n))
 
 
 def _columns(fan, D):
@@ -198,14 +172,6 @@ def polytope(fan, D):
 def h0(fan, D):
     """Number of global sections, counted by columns of the section polytope."""
     return sum(high - low + 1 for _, low, high in _columns(fan, D))
-
-
-def euler_characteristic(fan, D):
-    """Riemann-Roch: chi(D) = D.(D - K)/2 + 1."""
-    t = intersect(fan, D, D - canonical_divisor(fan))
-    if t % 2:
-        raise InternalError("Riemann-Roch parity failure; the fan data is corrupt")
-    return t // 2 + 1
 
 
 def genus(fan, D):

@@ -119,35 +119,40 @@ class JacobianSystem:
     def __init__(self, fan, f):
         if not isinstance(f, CoxPolynomial):
             raise InputError("f must be a CoxPolynomial")
+        if f.fan.rays != fan.rays:
+            raise InputError("f is a polynomial on a different fan")
         if f.is_zero():
             raise InputError("f must be a nonzero homogeneous polynomial")
         self.fan = fan
         self.f = f
         self.beta_class = f.homogeneous_class()
         self.beta_divisor = TorusDivisor(sorted(f.terms)[0])
-        self.euler_terms = tuple(f.euler_term(i) for i in range(fan.n))
-        # the Euler terms of f with its denominators cleared, once
+        # f's denominators cleared once: term i holds e_i * c for each
+        # term c * x^e of den * f with e_i > 0, the Euler term of ray i
         den = lcm(*(c.denominator for c in f.terms.values()))
-        self._integral_terms = tuple(
-            tuple((e, c.numerator * (den // c.denominator)) for e, c in g.terms.items())
-            for g in self.euler_terms if g.terms)
+        cleared = [(e, c.numerator * (den // c.denominator)) for e, c in f.terms.items()]
+        self._integral_terms = tuple(tuple((e, e[i] * c) for e, c in cleared if e[i])
+                                     for i in range(fan.n))
         self._cache = {}
         self._check_euler_identities()
 
     def _check_euler_identities(self):
-        # For every weight vector phi in the kernel of the ray matrix the
-        # combination sum(phi_i * euler_term_i) must equal phi(beta) * f,
+        # For every weight vector phi in the kernel of the ray matrix, scaled
+        # to integers, sum(phi_i * term i) must equal phi(beta) * den * f,
         # compared as whole term dicts with the zero coefficients dropped.
         rows = [[u[0] for u in self.fan.rays], [u[1] for u in self.fan.rays]]
         ker_rows, _ = linalg.kernel(rows, self.fan.n)
+        den = lcm(*(c.denominator for c in self.f.terms.values()))
         for phi in ker_rows:
+            scale = lcm(*(p.denominator for p in phi))
+            phi = [p.numerator * (scale // p.denominator) for p in phi]
             const = sum(p * a for p, a in zip(phi, self.beta_divisor.coeffs))
             lhs = {}
-            for p, g in zip(phi, self.euler_terms):
-                for e, c in g.terms.items():
+            for p, g in zip(phi, self._integral_terms):
+                for e, c in g:
                     lhs[e] = lhs.get(e, 0) + p * c
             lhs = {e: c for e, c in lhs.items() if c}
-            rhs = {e: const * c for e, c in self.f.terms.items() if const}
+            rhs = {e: const * den * c for e, c in self.f.terms.items() if const}
             if lhs != rhs:
                 raise InternalError("Euler identity failed on construction")
 
@@ -172,7 +177,7 @@ class JacobianSystem:
         try:
             return [{column[tuple(a + b for a, b in zip(e, m))]: c for e, c in g}
                     for m in self._basis(D - self.beta_divisor)
-                    for g in self._integral_terms]
+                    for g in self._integral_terms if g]
         except KeyError:
             raise InternalError("product landed outside the expected graded piece") from None
 

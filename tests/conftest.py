@@ -1,6 +1,9 @@
-"""Shared fixtures: surfaces, sections, an independent j1 oracle, and the
+"""Shared fixtures: surfaces, sections, an independent j1 oracle, the
 test-only graded machinery (the partial-derivative ideal J and the
-quotient pairings) that the library itself does not need.
+quotient pairings) that the library itself does not need, and rational
+references for what the library computes another way (the Euler terms,
+Riemann-Roch, ampleness from the Cartier data) with a random smooth fan
+generator to compare them on.
 
 The battery below is the registry of nondegenerate fixtures used by the
 duality and oracle-equivalence suites.  Expectations stored with each entry
@@ -21,10 +24,11 @@ from toricjac.cli import main as cli_main
 from toricjac import linalg
 from toricjac.cox import CoxPolynomial, monomial_basis, poly_from_text
 from toricjac.criterion import evaluate, trigonal_fixture
-from toricjac.divisors import (canonical_divisor, divisor_from_labels,
-                               pic_class, ray_divisor)
+from toricjac.divisors import (TorusDivisor, canonical_divisor,
+                               divisor_from_labels, intersect, pic_class,
+                               ray_divisor)
 from toricjac.errors import InputError
-from toricjac.fan import builtin_surface, fan_from_json
+from toricjac.fan import Fan, builtin_surface, fan_from_json
 from toricjac.jacobian import GradedSubspace, JacobianSystem
 
 TRIGONAL_D5 = "x1^5*x2^3 + x3^2*x4^3 + x3^5*x2^3 + x1^2*x4^3"
@@ -77,6 +81,16 @@ def partial(f, i):
     return CoxPolynomial(f.fan, terms)
 
 
+def euler_term(f, i):
+    """Rational Euler term x_i * df/dx_i of f, which keeps each term's class."""
+    return CoxPolynomial(f.fan, {e: c * e[i] for e, c in f.terms.items() if e[i]})
+
+
+def euler_terms(sys_):
+    """The Euler terms of the system's section, one per stored ray."""
+    return tuple(euler_term(sys_.f, i) for i in range(sys_.fan.n))
+
+
 def j_piece(sys_, D):
     """Graded piece at class(D) of J = (df/dx_rho), the plain Jacobian ideal.
 
@@ -112,8 +126,9 @@ def j1_by_slicing(sys_, D):
     offset = len(order) - len(shifted)
     column = {e: k for k, e in enumerate(order)}
     dense = []
+    terms = euler_terms(sys_)
     for m in monomial_basis(sys_.fan, target - sys_.beta_divisor):
-        for g in sys_.euler_terms:
+        for g in terms:
             if g.terms:
                 row = [0] * len(order)
                 for e, c in g.terms.items():
@@ -157,6 +172,56 @@ def multiplication_rank(sys_, eta, D_from, D_to):
     if not matrix:
         return 0
     return linalg.rank(matrix, len(matrix[0]))
+
+
+def principal_divisor(fan, m):
+    """div of the character of m in M: coefficients <m, u_rho>."""
+    return TorusDivisor(tuple(m[0] * u[0] + m[1] * u[1] for u in fan.rays))
+
+
+def euler_characteristic(fan, D):
+    """Riemann-Roch: chi(D) = D.(D - K)/2 + 1."""
+    t = intersect(fan, D, D - canonical_divisor(fan))
+    assert t % 2 == 0, "Riemann-Roch parity failure"
+    return t // 2 + 1
+
+
+def cartier_is_ample(fan, D):
+    """Ampleness as strict convexity of the support function, via the
+    Cartier data: for each maximal cone the unique m_sigma with
+    <m_sigma, u_i> = -a_i on the cone's rays must satisfy
+    <m_sigma, u> > -a strictly on every other ray."""
+    for i, j in fan.maximal_cones:
+        ui, uj = fan.rays[i], fan.rays[j]
+        # dual basis of (ui, uj); their determinant is +1
+        m1 = (uj[1], -uj[0])
+        m2 = (-ui[1], ui[0])
+        ai, aj = D.coeffs[i], D.coeffs[j]
+        ms = (-ai * m1[0] - aj * m2[0], -ai * m1[1] - aj * m2[1])
+        for k in range(fan.n):
+            if k == i or k == j:
+                continue
+            u = fan.rays[k]
+            if ms[0] * u[0] + ms[1] * u[1] <= -D.coeffs[k]:
+                return False
+    return True
+
+
+def random_smooth_fan(rng, blowups):
+    """A random smooth complete fan: P2, or a Hirzebruch surface F_r
+    (0 <= r <= 3) blown up at torus-fixed points.  Every smooth complete
+    toric surface arises so (Oda; Fulton, section 2.5); a blow-up inserts
+    u_i + u_{i+1} between adjacent rays u_i, u_{i+1}."""
+    if rng.random() < 0.25:
+        rays = [(1, 0), (0, 1), (-1, -1)]
+    else:
+        rays = [(-1, rng.randint(0, 3)), (0, 1), (1, 0), (0, -1)]
+    rays = list(Fan(rays).rays)  # counterclockwise, so neighbours are adjacent
+    for _ in range(blowups):
+        i = rng.randrange(len(rays))
+        u, v = rays[i], rays[(i + 1) % len(rays)]
+        rays.insert(i + 1, (u[0] + v[0], u[1] + v[1]))
+    return Fan(rays)
 
 
 def row_terms(ambient, row):

@@ -7,6 +7,7 @@ numbers, a brute-force membership oracle) and the published family values.
 """
 
 import contextlib
+import hashlib
 import json
 from fractions import Fraction
 
@@ -22,6 +23,8 @@ from conftest import (TRIGONAL_D5, j1_dim_brute, j_piece, lambda_section,
                       pairing_matrix, run_cli)
 
 H1_ARGS = ["--surface", "hirzebruch:1"]
+# sha256 of the acceptance-10 batch: exit codes, stdout and stderr
+BATCH_SHA256 = "aa274b045f392c1cda0228fd8e81640d29b270560fe0a609b2bf3376b8813df8"
 
 
 @contextlib.contextmanager
@@ -195,6 +198,9 @@ def test_acceptance_10_byte_identical_reruns(tmp_path):
         second = run_batch()
         assert first == second
         assert len(first) > 4000
+        # pinned, so the batch must also match the outputs it had when the
+        # digest was taken, not only itself
+        assert hashlib.sha256(first).hexdigest() == BATCH_SHA256
 
 
 def test_acceptance_11_family_past_genus_15_through_the_cli():

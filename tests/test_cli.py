@@ -357,6 +357,37 @@ def test_nondegenerate_certificate():
                     "--kmax", "0"] + H1)[0] == 2
 
 
+def test_hilbert_refuses_an_oversized_j1_elimination_quickly(monkeypatch):
+    # J1 at D is one elimination in the piece of class D - K; at 120beta on
+    # the trigonal d=5 section that piece has 153,549 monomials
+    monkeypatch.setattr(JacobianSystem, "j1_piece", _must_not_run)
+    monkeypatch.setattr(cli, "monomial_basis", _must_not_run)
+    start = time.perf_counter()
+    code, out, err = run_cli(["hilbert", "--poly", TRIGONAL_D5,
+                              "--class-of", "120beta"] + H1)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "error: the J1 elimination works in dimension 153549, above 100000\n"
+
+
+def test_hilbert_j1_budget_is_inclusive(monkeypatch):
+    # h0(2beta + 2K - K) = h0(2beta + K) = 30 on the trigonal d=5 section
+    argv = ["hilbert", "--poly", TRIGONAL_D5, "--class-of", "2beta+2K"] + H1
+    monkeypatch.setattr(cli, "MAX_BASIS_DIM", 30)
+    assert run_cli(argv)[0] == 0
+    monkeypatch.setattr(cli, "MAX_BASIS_DIM", 29)
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "") and "dimension 30, above 29" in err
+
+
+def test_zero_section_without_a_class_is_refused_as_zero():
+    for cmd in ("criterion", "find-eta", "hilbert", "basis"):
+        assert run_cli([cmd, "--poly", "0"] + H1) == (2, "", "error: f must be nonzero\n")
+    for cmd in ("hilbert", "basis"):
+        code, out, err = run_cli([cmd, "--poly", "0", "--class-of", "2beta+2K"] + H1)
+        assert (code, out, err) == (2, "", "error: f must be nonzero\n")
+
+
 def _must_not_run(*args, **kwargs):
     raise AssertionError("a bad count must be refused before any computation")
 

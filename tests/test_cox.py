@@ -11,7 +11,7 @@ from toricjac.errors import InputError, InternalError
 from toricjac.fan import Fan, build_hirzebruch, builtin_surface
 from toricjac.jacobian import JacobianSystem
 
-from conftest import TRIGONAL_D5, partial
+from conftest import TRIGONAL_D5, euler_term, euler_terms, partial
 
 
 def test_monomial_basis_matches_h0():
@@ -135,7 +135,7 @@ def test_partial_and_euler_term():
     d1 = partial(f, i1)
     expect = poly_from_text(fan, "5*x1^4*x2^3 + 2*x1*x4^3")
     assert d1.terms == expect.terms
-    assert f.euler_term(i1).terms == poly_from_text(fan, "5*x1^5*x2^3 + 2*x1^2*x4^3").terms
+    assert euler_term(f, i1).terms == poly_from_text(fan, "5*x1^5*x2^3 + 2*x1^2*x4^3").terms
     const = CoxPolynomial(fan, {(0, 0, 0, 0): 1})
     assert partial(const, 0).is_zero()
 
@@ -154,17 +154,19 @@ def test_euler_identity_on_sections():
             phi[fan.position(lab)] = w
         const = sum(p * a for p, a in zip(phi, sys_.beta_divisor.coeffs))
         lhs = {}
-        for term, p in zip(sys_.euler_terms, phi):
+        for term, p in zip(euler_terms(sys_), phi):
             for e, c in term.terms.items():
                 lhs[e] = lhs.get(e, 0) + p * c
         want = {e: const * c for e, c in f.terms.items()}
         assert {e: c for e, c in lhs.items() if c} == want
-    # a rescaled Euler term, and one with a monomial of class beta that f
-    # lacks, which only a comparison of both dicts in full catches
-    g0 = sys_.euler_terms[0]
+    # the check reads the integer Euler terms the engines use: a rescaled
+    # one, and one with a monomial of class beta that f lacks, which only a
+    # comparison of both dicts in full catches
+    g0 = sys_._integral_terms[0]
+    assert g0
     extra = next(e for e in monomial_basis(fan, sys_.beta_divisor) if e not in f.terms)
-    for bad in ({e: 2 * c for e, c in g0.terms.items()}, {**g0.terms, extra: 1}):
+    for bad in (tuple((e, 2 * c) for e, c in g0), g0 + ((extra, 1),)):
         broken = JacobianSystem(fan, f)
-        broken.euler_terms = (CoxPolynomial(fan, bad),) + broken.euler_terms[1:]
+        broken._integral_terms = (bad,) + broken._integral_terms[1:]
         with pytest.raises(InternalError):
             broken._check_euler_identities()

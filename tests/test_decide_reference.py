@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import DP7_RAYS, lambda_section
+from conftest import DP7_RAYS, euler_terms, lambda_section
 from toricjac import jacobian
 from toricjac.cox import CoxPolynomial, monomial_basis, poly_from_text
 from toricjac.divisors import TorusDivisor
@@ -219,9 +219,10 @@ def ref_is_unit_ideal(polys):
 def ref_charts(sys_):
     """The Euler terms restricted to the whole chart of each maximal cone."""
     fan = sys_.fan
+    terms = euler_terms(sys_)
     for i, j in fan.maximal_cones:
         charts = []
-        for g in sys_.euler_terms:
+        for g in terms:
             chart = {}
             for e, coeff in g.terms.items():
                 m = (e[i], e[j])

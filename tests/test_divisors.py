@@ -5,14 +5,14 @@ from math import ceil, floor
 import pytest
 
 from toricjac.divisors import (PicClass, TorusDivisor, canonical_divisor,
-                               divisor_from_labels, euler_characteristic,
-                               genus, h0, intersect, is_ample, pic_class,
-                               polytope, principal_divisor, ray_divisor,
+                               divisor_from_labels, genus, h0, intersect,
+                               is_ample, pic_class, polytope, ray_divisor,
                                representative)
 from toricjac.errors import InputError
 from toricjac.fan import build_hirzebruch, build_p2, builtin_surface, fan_from_json
 
-from conftest import DP7_RAYS
+from conftest import (DP7_RAYS, cartier_is_ample, euler_characteristic,
+                      principal_divisor, random_smooth_fan)
 
 
 def test_hirzebruch_classes():
@@ -115,6 +115,24 @@ def test_ampleness_examples():
     assert not is_ample(p2, 0 * H)
     fan = builtin_surface("p1xp1")
     assert not is_ample(fan, divisor_from_labels(fan, {"x1": 1}))
+
+
+def test_kleiman_ampleness_equals_cartier_oracle_on_random_fans():
+    # 30 random smooth complete fans with up to 8 rays, 100 random divisors each
+    ample = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        fan = random_smooth_fan(rng, rng.randint(0, 4))
+        K = canonical_divisor(fan)
+        assert intersect(fan, K, K) == 12 - fan.n
+        for _ in range(100):
+            D = TorusDivisor(tuple(rng.randint(-2, 5) for _ in range(fan.n)))
+            assert is_ample(fan, D) == cartier_is_ample(fan, D), (fan, D)
+            if is_ample(fan, D):
+                ample += 1
+                # an ample divisor has no higher cohomology
+                assert h0(fan, D) == euler_characteristic(fan, D)
+    assert 100 < ample < 2900
 
 
 def test_polytope_and_h0_basics():

@@ -1,19 +1,20 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from toricjac.cox import CoxPolynomial, monomial_basis, poly_from_text
-from toricjac.divisors import (canonical_divisor, divisor_from_labels,
-                               principal_divisor)
+from toricjac.divisors import TorusDivisor, canonical_divisor, divisor_from_labels
 from toricjac.errors import InputError
 from toricjac.fan import builtin_surface
 from toricjac.jacobian import JacobianSystem
 from toricjac import linalg
 
-from conftest import (H2_TRIGONAL, TRIGONAL_D5, dense_reduce, j1_by_slicing,
-                      j1_dim_brute, j_piece, lambda_section, multiplication_rank,
-                      pairing_matrix, row_terms)
+from conftest import (H2_TRIGONAL, TRIGONAL_D5, dense_reduce, euler_terms,
+                      j1_by_slicing, j1_dim_brute, j_piece, lambda_section,
+                      multiplication_rank, pairing_matrix, principal_divisor,
+                      random_smooth_fan, row_terms)
 
 
 def subspace_leq(small, big):
@@ -28,6 +29,11 @@ def test_constructor_validation(h1):
         JacobianSystem(h1, poly_from_text(h1, "x1 + x2"))
     with pytest.raises(InputError):
         JacobianSystem(h1, "x1")
+    # a section of another surface is bad input, not a failed invariant
+    with pytest.raises(InputError, match="different fan"):
+        JacobianSystem(builtin_surface("p2"), poly_from_text(h1, TRIGONAL_D5))
+    with pytest.raises(InputError, match="different fan"):
+        JacobianSystem(builtin_surface("p1xp1"), poly_from_text(h1, TRIGONAL_D5))
 
 
 def test_trigonal_d5_dimensions(s5, h1):
@@ -54,10 +60,31 @@ def test_beta_divisor_inferred_from_first_monomial(s5, h1):
 
 def test_j0_contains_euler_terms(s5):
     piece = s5.j0_piece(s5.beta_divisor)
-    for term in s5.euler_terms:
+    for term in euler_terms(s5):
         assert not piece.residual(term.terms)
     assert piece.ambient_dim == 18
     assert len(piece.coset_monomials()) == 15
+
+
+def test_dense_random_sections_on_random_fans():
+    # the constructor's Euler check passes, and the integer Euler terms are
+    # the rational ones times the common denominator of f
+    built = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        fan = random_smooth_fan(rng, rng.randint(0, 4))
+        K = canonical_divisor(fan)
+        D = -1 * K + TorusDivisor(tuple(rng.randint(0, 2) for _ in range(fan.n)))
+        f = CoxPolynomial(fan, {e: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                                for e in monomial_basis(fan, D)})
+        if f.is_zero():
+            continue
+        sys_ = JacobianSystem(fan, f)
+        den = lcm(*(c.denominator for c in f.terms.values()))
+        for term, ref in zip(sys_._integral_terms, euler_terms(sys_), strict=True):
+            assert dict(term) == {e: den * c for e, c in ref.terms.items()}
+        built += 1
+    assert built >= 25
 
 
 def test_residual_of_monomial_matches_dense_reduction(s5, h1):
@@ -278,7 +305,7 @@ def test_j1_piece_is_one_elimination(h1, monkeypatch):
 
 
 def test_pieces_build_no_polynomials(h1, monkeypatch):
-    sys_ = JacobianSystem(h1, poly_from_text(h1, TRIGONAL_D5))
+    f = poly_from_text(h1, TRIGONAL_D5)
     made = []
     init = CoxPolynomial.__init__
 
@@ -287,6 +314,8 @@ def test_pieces_build_no_polynomials(h1, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(CoxPolynomial, "__init__", counted)
+    # the constructor derives the integer Euler terms from f's terms
+    sys_ = JacobianSystem(h1, f)
     D = 2 * sys_.beta_divisor + canonical_divisor(h1)
     assert sys_.j0_piece(D).dim > 0
     assert sys_.j1_piece(D).dim > 0
