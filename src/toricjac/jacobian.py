@@ -2,19 +2,28 @@
 
 For a homogeneous f the Euler terms are g_rho = x_rho df/dx_rho.  They
 generate J0; the criterion and the rank-g search read the quotient by
-J1 = J0 : (prod x_rho).  With f's denominators cleared once, every graded
-piece is one integer elimination (linalg.echelon) of the products
-m * g_rho, each a sparse integer row written straight from the terms of
-g_rho.  Multiplication by x = prod x_rho maps S_D injectively onto the
-span C of the monomials of class D - K that every variable divides, so
-x * J1_D = J0_{D-K} ∩ C: the echelon of the J0 products at D - K, with
-the columns outside C first, started at C.
+J1 = J0 : (prod x_rho).  The Euler relations phi with phi(beta) = 0
+leave at most three of the g_rho spanning all of them.  With f's
+denominators cleared once, every graded piece is one integer elimination
+(linalg.echelon) of the products m * g of those spanning terms, each a
+sparse integer row written straight from the terms of g.  Multiplication
+by x = prod x_rho maps S_D injectively onto the span C of the monomials
+of class D - K that every variable divides, so x * J1_D = J0_{D-K} ∩ C:
+the echelon of the J0 products at D - K, with the columns outside C
+first, started at C.
+
+A piece that is all of S_T (J0 at T, or J1 at D with T = D - K) is
+proved so without an exact elimination: a rank of h0(T) mod P is a
+nonzero h0(T)-minor, so the rank over Q is h0(T) too.  Otherwise the
+piece is eliminated exactly: a lower rank mod P proves nothing, since P
+may divide every maximal minor of a full piece.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import add
 
 from .cox import CoxPolynomial, monomial_basis
 from .divisors import TorusDivisor, canonical_divisor, pic_class
@@ -22,8 +31,9 @@ from .errors import InputError, InternalError
 from .groebner import is_unit_ideal
 from . import linalg
 
-# The prime of the modular chart decision.  Any prime gives the same
-# verdicts; a small one only sends more sections to the exact fallback.
+# The prime of the modular chart decision and of the full-rank test.  Any
+# prime gives the same verdicts and pieces; a small one only sends more
+# work to the exact routes.
 P = 2**31 - 1
 
 
@@ -38,6 +48,11 @@ class GradedSubspace:
 
     ambient: tuple
     basis: dict
+
+    @classmethod
+    def full(cls, ambient):
+        """The whole piece, with the basis echelon returns for it."""
+        return cls(ambient, {k: {k: 1} for k in range(len(ambient))})
 
     @property
     def dim(self):
@@ -135,6 +150,14 @@ class JacobianSystem:
                                      for i in range(fan.n))
         self._cache = {}
         self._check_euler_identities()
+        # The Euler relations phi with phi(beta) = 0, the kernel of the rays
+        # and beta, give each term at a pivot as a combination of the others:
+        # the terms off the pivots, at most three, span all of them.
+        rays_and_beta = [[u[0] for u in fan.rays], [u[1] for u in fan.rays],
+                         list(self.beta_divisor.coeffs)]
+        _, pivots = linalg.kernel(rays_and_beta, fan.n)
+        self._spanning_terms = tuple(g for i, g in enumerate(self._integral_terms)
+                                     if g and i not in pivots)
 
     def _check_euler_identities(self):
         # For every weight vector phi in the kernel of the ray matrix, scaled
@@ -171,15 +194,30 @@ class JacobianSystem:
         return len(self._basis(D))
 
     def _j0_rows(self, D, order):
-        """The products m * g_rho of class(D), with f's denominators cleared,
-        as sparse integer rows {column: int} over the monomials in order."""
+        """The products m * g of class(D), g over the spanning Euler terms
+        (f's denominators cleared), as sparse integer rows {column: int}
+        over the monomials in order.  They span J0 at class(D); the
+        products of the other Euler terms are dependent rows."""
         column = {e: k for k, e in enumerate(order)}
         try:
-            return [{column[tuple(a + b for a, b in zip(e, m))]: c for e, c in g}
+            return [{column[tuple(map(add, e, m))]: c for e, c in g}
                     for m in self._basis(D - self.beta_divisor)
-                    for g in self._integral_terms if g]
+                    for g in self._spanning_terms]
         except KeyError:
             raise InternalError("product landed outside the expected graded piece") from None
+
+    def _spans_all(self, T):
+        """Whether J0 at class(T) is proved all of S_T without an exact elimination.
+
+        True is a proof: the products have full rank mod P, and a nonzero
+        minor mod P is a nonzero integer.  False proves nothing, and the
+        caller eliminates exactly.  With fewer products than h0(T) the
+        piece is not full, and the rank test is not tried.
+        """
+        basis = self._basis(T)
+        if len(self._spanning_terms) * self.section_dim(T - self.beta_divisor) < len(basis):
+            return False
+        return linalg.spans_mod(self._j0_rows(T, basis), len(basis), P)
 
     def j0_piece(self, D):
         """Graded piece of the Euler-term ideal at class(D)."""
@@ -187,6 +225,8 @@ class JacobianSystem:
 
     def _build_j0(self, D):
         ambient = self._basis(D)
+        if self._spans_all(D):
+            return GradedSubspace.full(ambient)
         return GradedSubspace(ambient, linalg.echelon(self._j0_rows(D, ambient), 0))
 
     def j1_piece(self, D):
@@ -211,6 +251,9 @@ class JacobianSystem:
         inside = set(shifted)
         if not inside.issubset(tbasis):
             raise InternalError("shifted monomial missing from the target piece")
+        # J0 all of S_{D-K} contains x * S_D, so J1 is all of S_D
+        if self._spans_all(target):
+            return GradedSubspace.full(ambient)
         order = [e for e in tbasis if e not in inside] + shifted
         start = len(order) - len(shifted)
         return GradedSubspace(ambient, linalg.echelon(self._j0_rows(target, order), start))

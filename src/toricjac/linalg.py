@@ -3,6 +3,8 @@
 echelon, the one elimination loop, works on sparse fraction-free rows
 ({column: int}, divided by their content).  rref is its dense Fraction
 view; reduce_vector reduces modulo its basis with one denominator.
+spans_mod answers only the one question a residue can settle exactly:
+whether integer rows have full column rank.
 """
 
 from fractions import Fraction
@@ -46,9 +48,12 @@ def echelon(rows, start):
     re-indexed from start.  A row is reduced by the head rows (pivots
     before start, kept in forward echelon form only) until its lead
     reaches start or is a new head pivot; the head rows are then dropped.
+    The output depends only on the row space, so the rows are taken
+    bottom-up, the latest lead first: a new basis lead then mostly lies
+    left of every pivot, and the back-reduction has little to do.
     """
     head, basis = {}, {}
-    for v in rows:
+    for v in sorted(rows, key=lambda v: -min(v, default=start)):
         lead = min(v, default=start)
         while lead < start and lead in head:
             v = _eliminate(v, head[lead], lead)
@@ -67,6 +72,35 @@ def echelon(rows, start):
                 basis[p] = _primitive(_eliminate(b, v, lead))
         basis[lead] = v
     return {p - start: {c - start: x for c, x in b.items()} for p, b in basis.items()}
+
+
+def spans_mod(rows, n, p):
+    """Whether the integer rows {column: int} in n columns have rank n mod p.
+
+    Forward elimination mod the prime p only, stopped at the n-th pivot.
+    Rank n mod p is a nonzero n-minor mod p, so that minor is a nonzero
+    integer and the rank over Q is n too.  False proves nothing over Q.
+    """
+    pivots = {}
+    for v in rows:
+        if len(pivots) == n:
+            break
+        v = {c: x % p for c, x in v.items() if x % p}
+        while v:
+            lead = min(v)
+            b = pivots.get(lead)
+            if b is None:
+                inv = pow(v[lead], -1, p)
+                pivots[lead] = {c: x * inv % p for c, x in v.items()}
+                break
+            m = v[lead]
+            for c, x in b.items():
+                y = (v.get(c, 0) - m * x) % p
+                if y:
+                    v[c] = y
+                else:
+                    v.pop(c, None)
+    return len(pivots) == n
 
 
 def rref(rows, ncols):

@@ -9,7 +9,7 @@ from toricjac.divisors import TorusDivisor, canonical_divisor, divisor_from_labe
 from toricjac.errors import InputError
 from toricjac.fan import builtin_surface
 from toricjac.jacobian import JacobianSystem
-from toricjac import linalg
+from toricjac import jacobian, linalg
 
 from conftest import (H2_TRIGONAL, TRIGONAL_D5, dense_reduce, euler_terms,
                       j1_by_slicing, j1_dim_brute, j_piece, lambda_section,
@@ -354,3 +354,70 @@ def test_j1_piece_equals_rref_then_slice(battery, generic_systems):
         for D in classes + [3 * beta + 2 * K] * top:
             piece = sys_.j1_piece(D)
             assert (piece.rows, piece.pivots) == j1_by_slicing(sys_, D), name
+
+
+def exact_only(sys_):
+    """A fresh system on the same section whose pieces are all eliminated
+    exactly, from the products of all n Euler terms."""
+    exact = JacobianSystem(sys_.fan, sys_.f)
+    exact._spans_all = lambda T: False
+    exact._spanning_terms = tuple(g for g in exact._integral_terms if g)
+    return exact
+
+
+def read_pieces(sys_, k_max, top):
+    """The J0 and J1 pieces at beta, beta + K, 2beta + K, 2beta + 2K and, if
+    top, 3beta + 2K, with those that saturation_certificate(k_max) reads."""
+    beta, K = sys_.beta_divisor, canonical_divisor(sys_.fan)
+    for D in [beta, beta + K, 2 * beta + K, 2 * beta + 2 * K] + [3 * beta + 2 * K] * top:
+        sys_.j0_piece(D)
+        sys_.j1_piece(D)
+    sys_.saturation_certificate(k_max)
+    return {key: piece for key, piece in sys_._cache.items() if key[0] != "basis"}
+
+
+def test_full_piece_proofs_never_change_a_piece(battery, generic_systems, monkeypatch):
+    # whatever the prime of the rank test, every piece equals the exact
+    # elimination of the products of all n Euler terms; the battery's certificates run to k = 9,
+    # where trigonal d=5 certifies, and it also reads the top class 3beta + 2K
+    systems = [(entry["name"], entry["sys"], 9, True) for entry in battery]
+    systems += [(name, sys_, 3, False) for name, sys_ in generic_systems]
+    references = [read_pieces(exact_only(sys_), k_max, top)
+                  for _, sys_, k_max, top in systems]
+    proved = {}
+    spans_mod = linalg.spans_mod
+
+    def counted(rows, n, p):
+        full = spans_mod(rows, n, p)
+        proved[p] += full
+        return full
+
+    monkeypatch.setattr(linalg, "spans_mod", counted)
+    for prime in (2, 3, 2**31 - 1):
+        monkeypatch.setattr(jacobian, "P", prime)
+        proved[prime] = 0
+        for (name, sys_, k_max, top), reference in zip(systems, references):
+            fresh = JacobianSystem(sys_.fan, sys_.f)
+            assert len(fresh._spanning_terms) <= 3, name
+            assert read_pieces(fresh, k_max, top) == reference, (name, prime)
+    # the proofs were taken (mod 3 the trigonal Euler terms drop their
+    # exponent-3 terms, and no piece has full rank there)
+    assert proved[2**31 - 1] >= 30 and proved[2] > 0, proved
+
+
+def test_certified_random_sections_are_nondegenerate():
+    # dense anticanonical sections on random fans: a certificate implies
+    # the chart decision's verdict, and the full-piece proofs change no k
+    certified = 0
+    for seed in range(16):
+        rng = random.Random(seed)
+        fan = random_smooth_fan(rng, rng.randint(0, 1))
+        f = CoxPolynomial(fan, {e: rng.randint(-9, 9) or 1
+                                for e in monomial_basis(fan, -1 * canonical_divisor(fan))})
+        sys_ = JacobianSystem(fan, f)
+        verdict = sys_.saturation_certificate(6)
+        assert verdict == exact_only(sys_).saturation_certificate(6), seed
+        if verdict.status == "certified":
+            assert sys_.nondegenerate_decide().status == "nondegenerate", seed
+            certified += 1
+    assert certified >= 4

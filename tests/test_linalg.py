@@ -1,12 +1,12 @@
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from toricjac.cox import poly_from_text
 from toricjac.divisors import canonical_divisor, divisor_from_labels
 from toricjac.jacobian import JacobianSystem
-from toricjac.linalg import echelon, kernel, rank, reduce_vector, rref
+from toricjac.linalg import echelon, kernel, rank, reduce_vector, rref, spans_mod
 
 from conftest import dense_reduce, integer_row
 
@@ -189,6 +189,43 @@ def test_reduce_vector_matches_dense_reference_property(matrix, data):
                         {k: x for k, x in enumerate(vec) if x})
     assert all(type(x) is Fraction and x for x in got.values())
     assert [got.get(k, 0) for k in range(ncols)] == dense_reduce(rows, pivots, vec)
+
+
+def dense_rank_mod(mat, ncols, p):
+    """Reference rank of an integer matrix mod p by dense Gaussian elimination."""
+    work = [[x % p for x in row] for row in mat]
+    r = 0
+    for col in range(ncols):
+        pr = next((i for i in range(r, len(work)) if work[i][col]), None)
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        inv = pow(work[r][col], -1, p)
+        for i in range(r + 1, len(work)):
+            c = work[i][col] * inv
+            work[i] = [(a - c * b) % p for a, b in zip(work[i], work[r])]
+        r += 1
+    return r
+
+
+@PROPERTY
+@given(matrices(), st.sampled_from((2, 3, 5, 2**31 - 1)))
+@example(([[2, 0], [0, 1]], 2), 2)  # full over Q, singular mod 2
+def test_spans_mod_is_full_rank_mod_p_and_then_over_q(matrix, p):
+    mat, ncols = matrix
+    full = spans_mod(integer_rows(mat), ncols, p)
+    assert full == (dense_rank_mod(mat, ncols, p) == ncols)
+    if full:
+        assert rank(mat, ncols) == ncols
+
+
+def test_spans_mod_false_proves_nothing():
+    rows = [{0: 2}, {1: 1}]
+    assert rank([[2, 0], [0, 1]], 2) == 2
+    assert not spans_mod(rows, 2, 2)
+    assert spans_mod(rows, 2, 3)
+    # it stops at the n-th pivot: the rows after it are never read
+    assert spans_mod([{0: 1}, {1: 1}, None], 2, 5)
 
 
 def test_kernel_annihilates_rows():
