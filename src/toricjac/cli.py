@@ -133,17 +133,18 @@ def _load_poly(fan, args):
 
 def _inputs(args, need_f):
     """(fan, f, D): the surface, the section (None when optional and not
-    given) and the divisor of --class / --class-of, else of f's class."""
+    given, refused when zero) and the divisor of --class / --class-of,
+    else of f's class."""
     fan = _load_fan(args)
     f = _load_poly(fan, args) if need_f or args.poly or args.poly_file else None
+    if f is not None and f.is_zero():
+        raise InputError("f must be nonzero")
     D = None
     if args.class_arg is not None:
         D = _divisor_from_class_arg(fan, args.surface, args.class_arg)
-        if f is not None and not f.is_zero() and f.homogeneous_class() != pic_class(fan, D):
+        if f is not None and f.homogeneous_class() != pic_class(fan, D):
             raise InputError("the polynomial's class does not match --class")
     elif f is not None:
-        if f.is_zero():
-            raise InputError("f must be nonzero")
         D = TorusDivisor(sorted(f.terms)[0])
     if args.class_of is not None:
         D = _resolve_class_of(args.class_of, D, canonical_divisor(fan))
@@ -204,8 +205,8 @@ def _cmd_basis(args):
 
 
 def _cmd_nondegenerate(args):
-    fan = _load_fan(args)
-    sys_ = JacobianSystem(fan, _load_poly(fan, args))
+    fan, f, _ = _inputs(args, need_f=True)
+    sys_ = JacobianSystem(fan, f)
     # the certificate checks --kmax before the chart decision runs
     cert = None if args.kmax is None else sys_.saturation_certificate(args.kmax)
     verdict = sys_.nondegenerate_decide()

@@ -134,95 +134,44 @@ def poly_from_json(fan, obj):
     return CoxPolynomial(fan, terms)
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_]\w*)|(?P<op>[-+*/^]))")
-
-
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == m.start():
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise InputError(f"cannot parse polynomial near {rest[:12]!r}")
-        pos = m.end()
-        if m.group("num"):
-            tokens.append(("num", int(m.group("num"))))
-        elif m.group("name"):
-            tokens.append(("name", m.group("name")))
-        elif m.group("op"):
-            tokens.append(("op", m.group("op")))
-    return tokens
+# a factor: an integer, p/q, or a name with an optional ^exponent
+_FACTOR = r"(\d+)(?:\s*/\s*(\d+))?|([A-Za-z_]\w*)(?:\s*\^\s*(\d+))?"
+_FACTORS = re.compile(_FACTOR)
+# a signed term: a run of signs (empty only for the first term, checked by the
+# caller), then factors joined by *
+_TERM = re.compile(rf"\s*((?:[-+]\s*)*)((?:{_FACTOR})(?:\s*\*\s*(?:{_FACTOR}))*)\s*")
 
 
 def poly_from_text(fan, text):
     """Parse expressions like 'x1^5*x2^3 + 2*x4 - 1/2*x3^2'.
 
-    Grammar: signed terms joined by + or -; a term is factors joined by *;
-    a factor is an integer, a fraction p/q, or a variable with an optional
-    ^exponent.
+    Grammar: signed terms, each a run of + and - signs (empty only for the
+    first term) and factors joined by *; a factor is an integer, a fraction
+    p/q, or a variable with an optional ^exponent.  Repeated variables add
+    their exponents, and terms on the same monomial are summed.
     """
-    tokens = _tokenize(text)
-    if not tokens:
+    if not text.strip():
         raise InputError("empty polynomial expression")
     terms = {}
-    i = 0
-
-    def take_factor(i):
-        kind, val = tokens[i]
-        if kind == "num":
-            num = Fraction(val)
-            i += 1
-            if i < len(tokens) and tokens[i] == ("op", "/"):
-                i += 1
-                if i >= len(tokens) or tokens[i][0] != "num":
-                    raise InputError("expected an integer denominator after '/'")
-                if tokens[i][1] == 0:
-                    raise InputError("zero denominator")
-                num /= tokens[i][1]
-                i += 1
-            return num, None, i
-        if kind == "name":
-            pos = fan.position(val)
-            exp = 1
-            i += 1
-            if i < len(tokens) and tokens[i] == ("op", "^"):
-                i += 1
-                if i >= len(tokens) or tokens[i][0] != "num":
-                    raise InputError(f"expected an integer exponent after '{val}^'")
-                exp = tokens[i][1]
-                i += 1
-            return None, (pos, exp), i
-        raise InputError(f"unexpected {val!r} in polynomial")
-
-    while i < len(tokens):
-        sign = 1
-        while i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] in "+-":
-            if tokens[i][1] == "-":
-                sign = -sign
-            i += 1
-        if i >= len(tokens):
-            raise InputError("dangling sign at the end of the polynomial")
-        coeff = Fraction(sign)
+    pos = 0
+    while pos < len(text):
+        m = _TERM.match(text, pos)
+        if not m or (pos and not m.group(1)):
+            raise InputError(f"cannot parse polynomial near {text[pos:].strip()[:12]!r}")
+        pos = m.end()
+        coeff = Fraction(-1 if m.group(1).count("-") % 2 else 1)
         exps = [0] * fan.n
-        while True:
-            c, var, i = take_factor(i)
-            if c is not None:
-                coeff *= c
+        for num, den, name, exp in _FACTORS.findall(m.group(2)):
+            if name:
+                exps[fan.position(name)] += int(exp or 1)
+            elif int(den or 1):
+                coeff *= Fraction(int(num), int(den or 1))
             else:
-                exps[var[0]] += var[1]
-            if i < len(tokens) and tokens[i] == ("op", "*"):
-                i += 1
-                continue
-            break
+                raise InputError("zero denominator")
         e = tuple(exps)
         s = terms.get(e, 0) + coeff
         if s:
             terms[e] = s
         else:
             terms.pop(e, None)
-        if i < len(tokens) and not (tokens[i][0] == "op" and tokens[i][1] in "+-"):
-            raise InputError(f"expected '+' or '-' before {tokens[i][1]!r}")
     return CoxPolynomial(fan, terms)

@@ -39,10 +39,10 @@ class TorusDivisor:
 
 @dataclass(frozen=True)
 class PicClass:
-    """Picard class in the fixed per-fan basis (basis_id names the fan)."""
+    """Picard class in the fixed per-fan basis (basis_id is the fan's rays)."""
 
     vec: tuple
-    basis_id: str
+    basis_id: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "vec", _int_tuple(self.vec, "Picard class"))

@@ -5,7 +5,6 @@ are the consecutive pairs once the rays are sorted counterclockwise.  All
 arithmetic is exact.
 """
 
-import hashlib
 from functools import cmp_to_key
 from math import gcd
 
@@ -123,8 +122,7 @@ class Fan:
         self.n = len(self.rays)
         self._pos = {lab: k for k, lab in enumerate(self.labels)}
         self.hnf_rows = self._relation_hnf()
-        digest = hashlib.sha1(repr(self.rays).encode()).hexdigest()[:10]
-        self.basis_id = f"pic-{digest}"
+        self.basis_id = self.rays
 
     def _relation_hnf(self):
         # Hermite form of the 2 x n matrix whose columns are the rays.  The

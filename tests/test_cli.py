@@ -381,11 +381,21 @@ def test_hilbert_j1_budget_is_inclusive(monkeypatch):
 
 
 def test_zero_section_without_a_class_is_refused_as_zero():
-    for cmd in ("criterion", "find-eta", "hilbert", "basis"):
-        assert run_cli([cmd, "--poly", "0"] + H1) == (2, "", "error: f must be nonzero\n")
+    zero = (2, "", "error: f must be nonzero\n")
+    for cmd in ("criterion", "find-eta", "hilbert", "basis", "nondegenerate"):
+        assert run_cli([cmd, "--poly", "0"] + H1) == zero
     for cmd in ("hilbert", "basis"):
-        code, out, err = run_cli([cmd, "--poly", "0", "--class-of", "2beta+2K"] + H1)
-        assert (code, out, err) == (2, "", "error: f must be nonzero\n")
+        assert run_cli([cmd, "--poly", "0", "--class-of", "2beta+2K"] + H1) == zero
+    # refused before the class is read, whether or not the class is valid
+    for cmd in ("criterion", "quick-criterion", "find-eta", "hilbert", "basis"):
+        for cls in ("5,3", "2,1", "7"):
+            assert run_cli([cmd, "--poly", "0", "--class", cls] + H1) == zero
+
+
+def test_dangling_operator_in_a_polynomial_exits_2():
+    code, out, err = run_cli(["nondegenerate", "--surface", "p1xp1", "--poly", "x1*"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot parse polynomial")
 
 
 def _must_not_run(*args, **kwargs):

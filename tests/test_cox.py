@@ -1,7 +1,9 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from toricjac.cox import (CoxPolynomial, monomial_basis, multidegree,
                           poly_from_json, poly_from_text)
@@ -63,9 +65,95 @@ def tuple_for(fan, powers):
 
 def test_parse_errors():
     fan = build_hirzebruch(1)
-    for bad in ("", "x9", "x1 +", "x1^", "1/0", "x1 x2", "(x1)"):
+    for bad in ("", "x9", "x1 +", "x1^", "1/0", "x1 x2", "(x1)",
+                "x1*", "x1^2 + 1/2*", "0*", "1/"):
         with pytest.raises(InputError):
             poly_from_text(fan, bad)
+
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@PROPERTY
+@given(st.text(alphabet="xy0123456789+-*/^() \t", max_size=24))
+@example("x1*")
+@example("x1^2 + 1/2*")
+def test_malformed_text_is_refused_never_crashes(text):
+    try:
+        poly_from_text(build_hirzebruch(1), text)
+    except InputError:
+        pass
+
+
+SPACES = ("", " ", "  ", "\t", "\n")
+
+
+@st.composite
+def term_structures(draw):
+    """Terms as (signs, factors), factors being ('int', n), ('frac', p, q) or
+    ('var', label, exponent or None), plus some terms again with the opposite sign."""
+    factor = st.one_of(
+        st.tuples(st.just("int"), st.integers(0, 30)),
+        st.tuples(st.just("frac"), st.integers(0, 30), st.integers(1, 12)),
+        st.tuples(st.just("var"), st.sampled_from(["x1", "x2", "x3", "x4"]),
+                  st.none() | st.integers(0, 5)))
+    terms = []
+    for k in range(draw(st.integers(1, 5))):
+        signs = draw(st.text(alphabet="+-", min_size=1 if k else 0, max_size=3))
+        terms.append((signs, draw(st.lists(factor, min_size=1, max_size=4))))
+    for signs, factors in draw(st.lists(st.sampled_from(terms), max_size=2)):
+        terms.append(("-" + signs, draw(st.permutations(factors))))
+    return terms
+
+
+def render(rng, terms):
+    """The terms as text, with random whitespace between any two tokens."""
+    def ws():
+        return rng.choice(SPACES)
+
+    out = ws()
+    for signs, factors in terms:
+        out += "".join(c + ws() for c in signs)
+        texts = []
+        for kind, a, *b in factors:
+            if kind == "int":
+                texts.append(str(a))
+            elif kind == "frac":
+                texts.append(f"{a}{ws()}/{ws()}{b[0]}")
+            else:
+                texts.append(a if b[0] is None else f"{a}{ws()}^{ws()}{b[0]}")
+        out += f"{ws()}*{ws()}".join(texts) + ws()
+    return out
+
+
+@PROPERTY
+@given(term_structures(), st.randoms(use_true_random=False))
+def test_parsed_values_match_the_term_structure(terms, rng):
+    fan = build_hirzebruch(1)
+    expected = {}
+    for signs, factors in terms:
+        coeff = Fraction((-1) ** signs.count("-"))
+        powers = dict.fromkeys(fan.labels, 0)
+        for kind, a, *b in factors:
+            if kind == "int":
+                coeff *= a
+            elif kind == "frac":
+                coeff *= Fraction(a, b[0])
+            else:
+                powers[a] += 1 if b[0] is None else b[0]
+        e = tuple_for(fan, powers)
+        expected[e] = expected.get(e, 0) + coeff
+    assert poly_from_text(fan, render(rng, terms)).terms == {e: c for e, c in expected.items() if c}
+
+
+def test_long_malformed_input_is_refused_in_linear_time():
+    fan = build_hirzebruch(1)
+    for bad in ("+-" * 50_000, "+ " * 50_000, "x1" + " * x2" * 20_000 + " *",
+                "x1 " * 30_000, "1" + " " * 100_000 + "x"):
+        start = time.perf_counter()
+        with pytest.raises(InputError):
+            poly_from_text(fan, bad)
+        assert time.perf_counter() - start < 2
 
 
 def test_text_roundtrip_random():
