@@ -16,15 +16,10 @@ from .criterion import (DEFAULT_SEED, evaluate, find_rank_g_deformation,
                         quick_criterion, trigonal_family_table)
 from .cox import monomial_basis, poly_from_json, poly_from_text
 from .divisors import (TorusDivisor, canonical_divisor, divisor_from_labels,
-                       h0, intersect, pic_class, representative, PicClass)
+                       intersect, pic_class, representative, PicClass)
 from .errors import InputError, InternalError
 from .fan import builtin_surface, fan_from_json
 from .jacobian import JacobianSystem
-
-
-# basis lists h0 monomials; on p1xp1 the class (2000,2000) has 4,004,001.
-# hilbert refuses a J1 piece whose elimination ambient h0(D - K) is larger.
-MAX_BASIS_DIM = 100_000
 
 
 def _opt(*flags, **kwargs):
@@ -42,11 +37,11 @@ POLY = (_opt("--poly", help="polynomial expression, e.g. x1^5*x2^3+x4"),
 
 
 def _load_fan(args):
-    if args.surface and args.fan_file:
+    if args.surface is not None and args.fan_file is not None:
         raise InputError("give either --surface or --fan-file, not both")
-    if args.surface:
+    if args.surface is not None:
         return builtin_surface(args.surface)
-    if args.fan_file:
+    if args.fan_file is not None:
         try:
             with open(args.fan_file) as fh:
                 data = json.load(fh)
@@ -73,7 +68,7 @@ def _divisor_from_class_arg(fan, surface, text):
     if surface == "p2":
         (d,) = _parse_ints(text, 1, "--class")
         return divisor_from_labels(fan, {fan.labels[0]: d})
-    if surface:  # a Hirzebruch surface, p1xp1 included
+    if surface is not None:  # a Hirzebruch surface, p1xp1 included
         a, b = _parse_ints(text, 2, "--class")
         return divisor_from_labels(fan, {"x1": a, "x2": b})
     vec = _parse_ints(text, fan.n - 2, "--class")
@@ -110,11 +105,11 @@ def _resolve_class_of(expr, beta_div, K_div):
 
 
 def _load_poly(fan, args):
-    if args.poly and args.poly_file:
+    if args.poly is not None and args.poly_file is not None:
         raise InputError("give either --poly or --poly-file, not both")
-    if args.poly:
+    if args.poly is not None:
         return poly_from_text(fan, args.poly)
-    if args.poly_file:
+    if args.poly_file is not None:
         try:
             with open(args.poly_file) as fh:
                 text = fh.read()
@@ -136,7 +131,8 @@ def _inputs(args, need_f):
     given, refused when zero) and the divisor of --class / --class-of,
     else of f's class."""
     fan = _load_fan(args)
-    f = _load_poly(fan, args) if need_f or args.poly or args.poly_file else None
+    given = args.poly is not None or args.poly_file is not None
+    f = _load_poly(fan, args) if need_f or given else None
     if f is not None and f.is_zero():
         raise InputError("f must be nonzero")
     D = None
@@ -186,9 +182,6 @@ def _cmd_describe(args):
 
 def _cmd_basis(args):
     fan, _, D = _inputs(args, need_f=False)
-    dim = h0(fan, D)
-    if dim > args.max_dim:
-        raise InputError(f"the piece has dimension {dim}, above --max-dim {args.max_dim}")
     basis = monomial_basis(fan, D)
     names = [fan.monomial_label(e) for e in basis]
     payload = {
@@ -225,11 +218,6 @@ def _cmd_hilbert(args):
     if f is None:
         raise InputError("hilbert needs the section f (--poly or --poly-file)")
     sys_ = JacobianSystem(fan, f)
-    # the J1 piece is one elimination in the piece of class D - K
-    dim = h0(fan, D - canonical_divisor(fan))
-    if dim > MAX_BASIS_DIM:
-        raise InputError(f"the J1 elimination works in dimension {dim}, "
-                         f"above {MAX_BASIS_DIM}")
     s_dim = sys_.section_dim(D)
     piece = sys_.j1_piece(D)
     payload = {
@@ -294,10 +282,7 @@ def _cmd_paper_table(args):
 # every command also takes --json.
 _COMMANDS = {
     "describe-surface": (_cmd_describe, "rays, cones, intersection data", SURFACE),
-    "basis": (_cmd_basis, "monomial basis of a graded piece", (
-        *SURFACE, *CLASS_OF, *POLY,
-        _opt("--max-dim", type=int, default=MAX_BASIS_DIM,
-             help="refuse a piece of larger dimension (default %(default)s)"))),
+    "basis": (_cmd_basis, "monomial basis of a graded piece", (*SURFACE, *CLASS_OF, *POLY)),
     "nondegenerate": (_cmd_nondegenerate, "chart decision, optional certificate", (
         *SURFACE, *POLY,
         _opt("--kmax", type=int, default=None,

@@ -112,7 +112,7 @@ class CoxPolynomial:
 
 def poly_from_json(fan, obj):
     """Read {'terms': [{'exps': [...], 'coeff': 'p/q'}, ...]}."""
-    if not isinstance(obj, dict) or "terms" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("terms"), list):
         raise InputError("polynomial JSON must be an object with a 'terms' list")
     terms = {}
     for t in obj["terms"]:

@@ -7,6 +7,10 @@ from itertools import combinations
 from .errors import InputError, InternalError
 from .fan import _det, _tuple
 
+# The most monomials a graded piece may list: every basis comes from
+# polytope, so every command refuses a larger piece before listing it.
+MAX_BASIS_DIM = 100_000
+
 
 def _int_tuple(values, what):
     # exact type check: a bool is an int and a float is inexact
@@ -164,9 +168,14 @@ def _columns(fan, D):
 
 
 def polytope(fan, D):
-    """Sorted lattice points of the section polytope {m : <m, u_rho> >= -a_rho}."""
-    return tuple((x, y) for x, low, high in _columns(fan, D)
-                 for y in range(low, high + 1))
+    """Sorted lattice points of the section polytope {m : <m, u_rho> >= -a_rho};
+    more than MAX_BASIS_DIM of them are refused before any is listed."""
+    cols = _columns(fan, D)
+    size = sum(high - low + 1 for _, low, high in cols)
+    if size > MAX_BASIS_DIM:
+        raise InputError(f"the piece of class {pic_class(fan, D).vec} has {size} "
+                         f"monomials, above {MAX_BASIS_DIM}")
+    return tuple((x, y) for x, low, high in cols for y in range(low, high + 1))
 
 
 def h0(fan, D):

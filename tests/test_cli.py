@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from toricjac import cli, criterion
+from toricjac import criterion, divisors
 from toricjac.divisors import canonical_divisor, pic_class
 from toricjac.jacobian import JacobianSystem
 
@@ -196,7 +196,7 @@ _OPTIONS = {
 _SURFACE, _POLY = {"--surface", "--fan-file"}, {"--poly", "--poly-file"}
 _ACCEPTS = {
     "describe-surface": _SURFACE | {"--json"},
-    "basis": _SURFACE | _POLY | {"--class", "--class-of", "--max-dim", "--json"},
+    "basis": _SURFACE | _POLY | {"--class", "--class-of", "--json"},
     "nondegenerate": _SURFACE | _POLY | {"--kmax", "--json"},
     "hilbert": _SURFACE | _POLY | {"--class", "--class-of", "--dump-subspaces", "--json"},
     "criterion": _SURFACE | _POLY | {"--class", "--json"},
@@ -268,7 +268,7 @@ def test_interleaved_commands_carry_no_state():
         (["find-eta", "--class", "5,3", "--poly", TRIGONAL_D5] + H1, ["--seed", "7"]),
         (["hilbert", "--poly", TRIGONAL_D5, "--class-of", "2beta+2K"] + H1,
          ["--dump-subspaces"]),
-        (["basis", "--class", "2,1"] + H1, ["--max-dim", "4"]),
+        (["basis", "--class", "2,1"] + H1, ["--json"]),
         (["nondegenerate", "--poly", TRIGONAL_D5] + H1, ["--kmax", "9"]),
     ]
     argvs = [argv for base, extra in pairs for argv in (base + extra, base)]
@@ -312,20 +312,41 @@ def test_basis_json():
     assert len(data["exponents"]) == 5
 
 
-def test_basis_refuses_an_oversized_class_quickly(monkeypatch):
-    monkeypatch.setattr(cli, "monomial_basis", _must_not_run)
+# the class and size of the first piece each command lists above
+# divisors.MAX_BASIS_DIM: S_beta for the criterion commands, S_{120beta}
+# for hilbert
+P1XP1_400 = ["--surface", "p1xp1", "--class", "400,400",
+             "--poly", "x1^400*x2^400 + x3^400*x4^400"]
+_OVERSIZED = {
+    "basis": (["basis", "--surface", "p1xp1", "--class", "2000,2000"],
+              "(2000, 2000) has 4004001"),
+    "hilbert": (["hilbert", "--poly", TRIGONAL_D5, "--class-of", "120beta"] + H1,
+                "(240, 360) has 151981"),
+    "criterion": (["criterion"] + P1XP1_400, "(400, 400) has 160801"),
+    "quick-criterion": (["quick-criterion"] + P1XP1_400, "(400, 400) has 160801"),
+    "find-eta": (["find-eta"] + P1XP1_400, "(400, 400) has 160801"),
+}
+
+
+@pytest.mark.parametrize("argv, piece", _OVERSIZED.values(), ids=_OVERSIZED)
+def test_oversized_piece_is_refused_quickly(monkeypatch, argv, piece):
+    # every piece elimination, exact or mod P, starts from these rows
+    monkeypatch.setattr(JacobianSystem, "_j0_rows", _must_not_run)
     start = time.perf_counter()
-    code, out, err = run_cli(["basis", "--surface", "p1xp1", "--class", "2000,2000"])
+    code, out, err = run_cli(argv)
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
-    assert err == "error: the piece has dimension 4004001, above --max-dim 100000\n"
+    assert err == f"error: the piece of class {piece} monomials, above 100000\n"
 
 
-def test_basis_max_dim_is_inclusive():
+def test_basis_budget_is_inclusive(monkeypatch):
     argv = ["basis", "--class", "2,1"] + H1
-    assert run_cli(argv + ["--max-dim", "5"])[0] == 0
-    code, out, err = run_cli(argv + ["--max-dim", "4"])
-    assert (code, out) == (2, "") and "dimension 5, above --max-dim 4" in err
+    monkeypatch.setattr(divisors, "MAX_BASIS_DIM", 5)
+    assert run_cli(argv)[0] == 0
+    monkeypatch.setattr(divisors, "MAX_BASIS_DIM", 4)
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err == "error: the piece of class (1, 1) has 5 monomials, above 4\n"
 
 
 def test_nondegenerate_text(p1xp1):
@@ -357,27 +378,16 @@ def test_nondegenerate_certificate():
                     "--kmax", "0"] + H1)[0] == 2
 
 
-def test_hilbert_refuses_an_oversized_j1_elimination_quickly(monkeypatch):
-    # J1 at D is one elimination in the piece of class D - K; at 120beta on
-    # the trigonal d=5 section that piece has 153,549 monomials
-    monkeypatch.setattr(JacobianSystem, "j1_piece", _must_not_run)
-    monkeypatch.setattr(cli, "monomial_basis", _must_not_run)
-    start = time.perf_counter()
-    code, out, err = run_cli(["hilbert", "--poly", TRIGONAL_D5,
-                              "--class-of", "120beta"] + H1)
-    assert time.perf_counter() - start < 1
-    assert (code, out) == (2, "")
-    assert err == "error: the J1 elimination works in dimension 153549, above 100000\n"
-
-
 def test_hilbert_j1_budget_is_inclusive(monkeypatch):
-    # h0(2beta + 2K - K) = h0(2beta + K) = 30 on the trigonal d=5 section
+    # J1 at D is one elimination in the piece of class D - K, the largest
+    # piece hilbert lists: h0(2beta + K) = 30 on the trigonal d=5 section
     argv = ["hilbert", "--poly", TRIGONAL_D5, "--class-of", "2beta+2K"] + H1
-    monkeypatch.setattr(cli, "MAX_BASIS_DIM", 30)
+    monkeypatch.setattr(divisors, "MAX_BASIS_DIM", 30)
     assert run_cli(argv)[0] == 0
-    monkeypatch.setattr(cli, "MAX_BASIS_DIM", 29)
+    monkeypatch.setattr(divisors, "MAX_BASIS_DIM", 29)
     code, out, err = run_cli(argv)
-    assert (code, out) == (2, "") and "dimension 30, above 29" in err
+    assert (code, out) == (2, "")
+    assert err == "error: the piece of class (3, 4) has 30 monomials, above 29\n"
 
 
 def test_zero_section_without_a_class_is_refused_as_zero():
@@ -390,6 +400,35 @@ def test_zero_section_without_a_class_is_refused_as_zero():
     for cmd in ("criterion", "quick-criterion", "find-eta", "hilbert", "basis"):
         for cls in ("5,3", "2,1", "7"):
             assert run_cli([cmd, "--poly", "0", "--class", cls] + H1) == zero
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["basis", "--class", "1,0", "--poly", ""] + H1, "empty polynomial expression"),
+    (["nondegenerate", "--surface", "p1xp1", "--poly", ""], "empty polynomial expression"),
+    (["nondegenerate", "--surface", "p1xp1", "--poly-file", ""],
+     "cannot read polynomial file"),
+    (["nondegenerate", "--surface", "p1xp1", "--poly", "", "--poly-file", ""],
+     "give either --poly or --poly-file, not both"),
+    (["describe-surface", "--surface", ""], "unknown surface ''"),
+    (["describe-surface", "--fan-file", ""], "cannot read fan file"),
+    (["describe-surface", "--surface", "", "--fan-file", ""],
+     "give either --surface or --fan-file, not both"),
+], ids=["basis-poly", "poly", "poly-file", "poly-and-poly-file", "surface",
+        "fan-file", "surface-and-fan-file"])
+def test_an_empty_option_value_is_read_as_given(argv, message):
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}"), err
+
+
+@pytest.mark.parametrize("terms", ["5", "null", '"x1"', "{}"])
+def test_polynomial_json_without_a_terms_list_exits_2(tmp_path, terms):
+    path = tmp_path / "f.json"
+    path.write_text(f'{{"terms": {terms}}}')
+    code, out, err = run_cli(["nondegenerate", "--surface", "p1xp1",
+                              "--poly-file", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: polynomial JSON must be an object with a 'terms' list\n"
 
 
 def test_dangling_operator_in_a_polynomial_exits_2():

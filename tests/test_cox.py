@@ -169,14 +169,25 @@ def test_text_roundtrip_random():
         assert poly_from_text(fan, p.to_text()).terms == p.terms
 
 
+def test_monomial_basis_refuses_an_oversized_piece():
+    # h0 counts without listing; the listing is refused above the budget
+    fan = builtin_surface("p1xp1")
+    D = divisor_from_labels(fan, {"x1": 2000, "x2": 2000})
+    assert h0(fan, D) == 4_004_001
+    with pytest.raises(InputError, match="has 4004001 monomials, above 100000"):
+        monomial_basis(fan, D)
+
+
 def test_json_roundtrip():
     fan = build_hirzebruch(1)
     p = poly_from_text(fan, "x1^5*x2^3 - 7/3*x3^2*x4^3")
     assert poly_from_json(fan, p.to_json()).terms == p.terms
     with pytest.raises(InputError):
         poly_from_json(fan, {"terms": [{"exps": [1, 2], "coeff": "x"}]})
-    with pytest.raises(InputError):
-        poly_from_json(fan, {"nope": []})
+    for bad in ({"nope": []}, {"terms": 5}, {"terms": None}, {"terms": "x1"},
+                {"terms": {}}, [{"terms": []}]):
+        with pytest.raises(InputError, match="an object with a 'terms' list"):
+            poly_from_json(fan, bad)
 
 
 def test_homogeneous_class():
