@@ -10,7 +10,7 @@ from .errors import InputError, InternalError
 from .fan import (Fan, build_hirzebruch, build_p2, builtin_surface,
                   fan_from_json, validate)
 from .divisors import (TorusDivisor, PicClass, canonical_divisor,
-                       divisor_from_labels, genus, h0, intersect, is_ample,
+                       divisor_from_labels, genus, h0, intersect, is_ample, is_nef,
                        pic_class, polytope, ray_divisor, representative)
 from .cox import (CoxPolynomial, monomial_basis, multidegree, poly_from_json,
                   poly_from_text)
@@ -27,7 +27,7 @@ __all__ = [
     "Fan", "build_hirzebruch", "build_p2", "builtin_surface", "fan_from_json",
     "validate",
     "TorusDivisor", "PicClass", "canonical_divisor",
-    "divisor_from_labels", "genus", "h0", "intersect", "is_ample",
+    "divisor_from_labels", "genus", "h0", "intersect", "is_ample", "is_nef",
     "pic_class", "polytope", "ray_divisor", "representative",
     "CoxPolynomial", "monomial_basis", "multidegree", "poly_from_json",
     "poly_from_text",

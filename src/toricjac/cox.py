@@ -8,8 +8,10 @@ so every basis and every printed polynomial is deterministic.
 
 import re
 from fractions import Fraction
+from itertools import repeat
 
-from .divisors import TorusDivisor, pic_class, polytope
+# polytope is unused here, but perfbench/spans.py wraps it under this name
+from .divisors import TorusDivisor, columns, pic_class, polytope  # noqa: F401
 from .errors import InputError, InternalError
 from .fan import _label_key, _tuple
 
@@ -24,14 +26,17 @@ def monomial_basis(fan, D):
 
     Each lattice point m of the section polytope gives the exponent vector
     (<m, u_rho> + a_rho)_rho; the result depends only on the class of D.
+    Along a column x each exponent is an arithmetic progression in y with
+    step u_rho[1], so one zip of ranges (a repeat for step 0) lists it.
     """
     out = []
-    for m in polytope(fan, D):
-        exps = tuple(m[0] * u[0] + m[1] * u[1] + a
-                     for u, a in zip(fan.rays, D.coeffs))
-        if any(e < 0 for e in exps):
+    for x, low, high in columns(fan, D):
+        n = high - low + 1
+        ends = [(x * ux + low * uy + a, uy) for (ux, uy), a in zip(fan.rays, D.coeffs)]
+        if any(min(e, e + (n - 1) * step) < 0 for e, step in ends):
             raise InternalError("polytope point gave a negative exponent")
-        out.append(exps)
+        out.extend(zip(*(range(e, e + n * step, step) if step else repeat(e, n)
+                         for e, step in ends)))
     out.sort()
     return tuple(out)
 

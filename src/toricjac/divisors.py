@@ -1,5 +1,5 @@
 """Divisors on a toric surface: Picard classes, intersection numbers,
-ampleness, section polytopes and adjunction."""
+ampleness and nefness, section polytopes and adjunction."""
 
 from dataclasses import dataclass
 from itertools import combinations
@@ -7,8 +7,8 @@ from itertools import combinations
 from .errors import InputError, InternalError
 from .fan import _det, _tuple
 
-# The most monomials a graded piece may list: every basis comes from
-# polytope, so every command refuses a larger piece before listing it.
+# The most monomials a graded piece may list: every basis is read from
+# columns, so every command refuses a larger piece before listing it.
 MAX_BASIS_DIM = 100_000
 
 
@@ -140,6 +140,11 @@ def is_ample(fan, D):
     return all(intersect(fan, D, ray_divisor(fan, i)) > 0 for i in range(fan.n))
 
 
+def is_nef(fan, D):
+    """D is nef exactly when D.D_rho >= 0 for every rho (Cox-Little-Schenck, Thm 6.3.12)."""
+    return all(intersect(fan, D, ray_divisor(fan, i)) >= 0 for i in range(fan.n))
+
+
 def _columns(fan, D):
     """(x, low, high) per nonempty column x of the section polytope, whose
     points there are the (x, y) with low <= y <= high.  The x range comes
@@ -167,15 +172,19 @@ def _columns(fan, D):
     return cols
 
 
-def polytope(fan, D):
-    """Sorted lattice points of the section polytope {m : <m, u_rho> >= -a_rho};
-    more than MAX_BASIS_DIM of them are refused before any is listed."""
+def columns(fan, D):
+    """_columns(fan, D), refused when its columns hold over MAX_BASIS_DIM points."""
     cols = _columns(fan, D)
     size = sum(high - low + 1 for _, low, high in cols)
     if size > MAX_BASIS_DIM:
         raise InputError(f"the piece of class {pic_class(fan, D).vec} has {size} "
                          f"monomials, above {MAX_BASIS_DIM}")
-    return tuple((x, y) for x, low, high in cols for y in range(low, high + 1))
+    return cols
+
+
+def polytope(fan, D):
+    """Sorted lattice points of the section polytope {m : <m, u_rho> >= -a_rho}."""
+    return tuple((x, y) for x, low, high in columns(fan, D) for y in range(low, high + 1))
 
 
 def h0(fan, D):

@@ -123,6 +123,15 @@ class Fan:
         self._pos = {lab: k for k, lab in enumerate(self.labels)}
         self.hnf_rows = self._relation_hnf()
         self.basis_id = self.rays
+        selfs = []
+        for i in range(self.n):
+            w = tuple(self.rays[i - 1][k] + self.rays[(i + 1) % self.n][k]
+                      for k in range(2))
+            a = _det(w, self.rays[(i + 1) % self.n])
+            if (a * self.rays[i][0], a * self.rays[i][1]) != w:
+                raise InternalError(f"wall relation failed at ray {i}")
+            selfs.append(-a)
+        self._self_intersections = tuple(selfs)
 
     def _relation_hnf(self):
         # Hermite form of the 2 x n matrix whose columns are the rays.  The
@@ -149,20 +158,9 @@ class Fan:
                              f"expected one of {', '.join(self.labels)}") from None
 
     def self_intersections(self):
-        """Self-intersection number of each invariant divisor D_i.
-
-        The wall relation u_{i-1} + u_{i+1} = a_i u_i determines a_i and
-        the self-intersection is -a_i.
-        """
-        out = []
-        for i in range(self.n):
-            w = tuple(self.rays[i - 1][k] + self.rays[(i + 1) % self.n][k]
-                      for k in range(2))
-            a = _det(w, self.rays[(i + 1) % self.n])
-            if (a * self.rays[i][0], a * self.rays[i][1]) != w:
-                raise InternalError(f"wall relation failed at ray {i}")
-            out.append(-a)
-        return tuple(out)
+        """Self-intersection -a_i of each invariant divisor D_i, from the wall
+        relation u_{i-1} + u_{i+1} = a_i u_i (computed when the fan is built)."""
+        return self._self_intersections
 
     def irrelevant_generators(self):
         """Exponent vectors of the irrelevant-ideal generators, one per cone."""

@@ -14,9 +14,14 @@ first, started at C.
 
 A piece that is all of S_T (J0 at T, or J1 at D with T = D - K) is
 proved so without an exact elimination: a rank of h0(T) mod P is a
-nonzero h0(T)-minor, so the rank over Q is h0(T) too.  Otherwise the
-piece is eliminated exactly: a lower rank mod P proves nothing, since P
-may divide every maximal minor of a full piece.
+nonzero h0(T)-minor, so the rank over Q is h0(T) too.  Or by closure: if
+T0 and T - T0 are nef and J0 is all of S_T0, the ideal J0 contains
+S_T0 * S_{T-T0} = S_T.  For nef classes the polygon of the sum is the
+Minkowski sum of the polygons (Cox-Little-Schenck, section 6.1), whose
+lattice points are the sums of theirs (Haase-Nill-Paffenholz-Santos,
+Electron. J. Combin. 15 (2008); Fakhruddin, arXiv:math/0208178).
+Otherwise the piece is eliminated exactly: a lower rank mod P proves
+nothing, since P may divide every maximal minor of a full piece.
 """
 
 from dataclasses import dataclass
@@ -26,7 +31,7 @@ from math import lcm
 from operator import add
 
 from .cox import CoxPolynomial, monomial_basis
-from .divisors import TorusDivisor, canonical_divisor, pic_class
+from .divisors import TorusDivisor, canonical_divisor, columns, is_nef, pic_class
 from .errors import InputError, InternalError
 from .groebner import is_unit_ideal
 from . import linalg
@@ -149,6 +154,7 @@ class JacobianSystem:
         self._integral_terms = tuple(tuple((e, e[i] * c) for e, c in cleared if e[i])
                                      for i in range(fan.n))
         self._cache = {}
+        self._full_nef = []  # nef classes whose J0 piece the rank test proved full
         self._check_euler_identities()
         # The Euler relations phi with phi(beta) = 0, the kernel of the rays
         # and beta, give each term at a pivot as a combination of the others:
@@ -209,15 +215,22 @@ class JacobianSystem:
     def _spans_all(self, T):
         """Whether J0 at class(T) is proved all of S_T without an exact elimination.
 
-        True is a proof: the products have full rank mod P, and a nonzero
-        minor mod P is a nonzero integer.  False proves nothing, and the
-        caller eliminates exactly.  With fewer products than h0(T) the
-        piece is not full, and the rank test is not tried.
+        True is a proof: closure from a nef T0 that the rank test proved
+        full, with T - T0 nef (module docstring: Cox-Little-Schenck 6.1,
+        Haase-Nill-Paffenholz-Santos), or a rank of h0(T) mod P, a nonzero
+        minor.  False proves nothing, and the caller eliminates exactly.
+        Fewer products than h0(T) cannot span, so the rank test is not tried.
         """
+        nef = is_nef(self.fan, T)
+        if nef and any(is_nef(self.fan, T - T0) for T0 in self._full_nef):
+            return True
         basis = self._basis(T)
         if len(self._spanning_terms) * self.section_dim(T - self.beta_divisor) < len(basis):
             return False
-        return linalg.spans_mod(self._j0_rows(T, basis), len(basis), P)
+        full = linalg.spans_mod(self._j0_rows(T, basis), len(basis), P)
+        if full and nef:
+            self._full_nef.append(T)
+        return full
 
     def j0_piece(self, D):
         """Graded piece of the Euler-term ideal at class(D)."""
@@ -323,11 +336,14 @@ class JacobianSystem:
         locus, which certifies nondegeneracy.  Conversely, a nondegenerate
         f has B in rad(J0) for the irrelevant ideal B by the
         Nullstellensatz, so some power B^k lies in J0; 'undetermined'
-        only means that k_max was below the least such k.
+        only means that k_max was below the least such k.  A k_max whose
+        generator powers have a piece above MAX_BASIS_DIM is refused first.
         """
         if k_max < 1:
             raise InputError("k_max must be at least 1")
         gens = self.fan.irrelevant_generators()
+        for g in gens:
+            columns(self.fan, k_max * TorusDivisor(g))
         products = {(0,) * self.fan.n}
         for k in range(1, k_max + 1):
             products = {tuple(a + b for a, b in zip(p, g))

@@ -26,7 +26,7 @@ from toricjac.cox import CoxPolynomial, monomial_basis, poly_from_text
 from toricjac.criterion import evaluate, trigonal_fixture
 from toricjac.divisors import (TorusDivisor, canonical_divisor,
                                divisor_from_labels, intersect, pic_class,
-                               ray_divisor)
+                               polytope, ray_divisor)
 from toricjac.errors import InputError
 from toricjac.fan import Fan, builtin_surface, fan_from_json
 from toricjac.jacobian import GradedSubspace, JacobianSystem
@@ -68,6 +68,14 @@ def j1_dim_brute(sys_, D):
         red = target.residual({tuple(a + 1 for a in e): 1})
         residuals.append([red.get(k, 0) for k in range(target.ambient_dim)])
     return len(amb) - linalg.rank(residuals, target.ambient_dim)
+
+
+def pointwise_monomial_basis(fan, D):
+    """Reference listing: one exponent tuple (<m, u_rho> + a_rho)_rho per
+    point m of the section polytope, sorted."""
+    return tuple(sorted(tuple(m[0] * u[0] + m[1] * u[1] + a
+                              for u, a in zip(fan.rays, D.coeffs))
+                        for m in polytope(fan, D)))
 
 
 def partial(f, i):
@@ -186,11 +194,12 @@ def euler_characteristic(fan, D):
     return t // 2 + 1
 
 
-def cartier_is_ample(fan, D):
+def cartier_is_ample(fan, D, strict=True):
     """Ampleness as strict convexity of the support function, via the
     Cartier data: for each maximal cone the unique m_sigma with
     <m_sigma, u_i> = -a_i on the cone's rays must satisfy
-    <m_sigma, u> > -a strictly on every other ray."""
+    <m_sigma, u> > -a strictly on every other ray.  With strict=False,
+    nefness: convexity, <m_sigma, u> >= -a."""
     for i, j in fan.maximal_cones:
         ui, uj = fan.rays[i], fan.rays[j]
         # dual basis of (ui, uj); their determinant is +1
@@ -202,7 +211,7 @@ def cartier_is_ample(fan, D):
             if k == i or k == j:
                 continue
             u = fan.rays[k]
-            if ms[0] * u[0] + ms[1] * u[1] <= -D.coeffs[k]:
+            if ms[0] * u[0] + ms[1] * u[1] < -D.coeffs[k] + strict:
                 return False
     return True
 

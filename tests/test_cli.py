@@ -378,6 +378,40 @@ def test_nondegenerate_certificate():
                     "--kmax", "0"] + H1)[0] == 2
 
 
+# a degenerate section: no power of the irrelevant ideal lies in its J0, so
+# the certificate would try every k up to --kmax
+DEGENERATE_22 = ["--surface", "p1xp1",
+                 "--poly", "x1^2*x2^2 + x1^2*x4^2 + x3^2*x2^2 + x3^2*x4^2"]
+
+
+def test_kmax_above_the_budget_is_refused_quickly(monkeypatch):
+    # the 1000th power of an irrelevant generator has a piece of 1001^2
+    # monomials: it is counted, and refused before any product is listed
+    # and before the chart decision
+    monkeypatch.setattr(JacobianSystem, "j0_piece", _must_not_run)
+    monkeypatch.setattr(JacobianSystem, "nondegenerate_decide", _must_not_run)
+    start = time.perf_counter()
+    code, out, err = run_cli(["nondegenerate", "--kmax", "1000"] + DEGENERATE_22)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == ("error: the piece of class (1000, 1000) has 1002001 monomials, "
+                   "above 100000\n")
+
+
+def test_kmax_budget_is_inclusive(monkeypatch):
+    # at k_max = 9 on trigonal d=5 the largest piece the certificate reads is
+    # the ninth power of a generator, of 145 monomials; at that budget the
+    # README output is unchanged
+    argv = ["nondegenerate", "--poly", TRIGONAL_D5, "--kmax", "9"] + H1
+    monkeypatch.setattr(divisors, "MAX_BASIS_DIM", 145)
+    assert run_cli(argv) == (0, "chart decision: nondegenerate\n"
+                                "saturation certificate: certified(9)\n", "")
+    monkeypatch.setattr(divisors, "MAX_BASIS_DIM", 144)
+    monkeypatch.setattr(JacobianSystem, "j0_piece", _must_not_run)
+    assert run_cli(argv) == (2, "", "error: the piece of class (9, 9) has 145 "
+                                    "monomials, above 144\n")
+
+
 def test_hilbert_j1_budget_is_inclusive(monkeypatch):
     # J1 at D is one elimination in the piece of class D - K, the largest
     # piece hilbert lists: h0(2beta + K) = 30 on the trigonal d=5 section

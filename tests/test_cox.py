@@ -8,12 +8,18 @@ from hypothesis import example, given, settings, strategies as st
 from toricjac.cox import (CoxPolynomial, monomial_basis, multidegree,
                           poly_from_json, poly_from_text)
 from toricjac.divisors import (PicClass, TorusDivisor, divisor_from_labels, h0,
-                               pic_class)
+                               is_ample, is_nef, pic_class, polytope)
 from toricjac.errors import InputError, InternalError
 from toricjac.fan import Fan, build_hirzebruch, builtin_surface
 from toricjac.jacobian import JacobianSystem
+from toricjac import cox
 
-from conftest import TRIGONAL_D5, euler_term, euler_terms, partial
+from conftest import (TRIGONAL_D5, euler_term, euler_terms, partial,
+                      pointwise_monomial_basis, random_smooth_fan)
+
+
+def must_not_run(*args):
+    raise AssertionError("the piece must be refused before it is listed")
 
 
 def test_monomial_basis_matches_h0():
@@ -169,13 +175,34 @@ def test_text_roundtrip_random():
         assert poly_from_text(fan, p.to_text()).terms == p.terms
 
 
-def test_monomial_basis_refuses_an_oversized_piece():
-    # h0 counts without listing; the listing is refused above the budget
+def test_monomial_basis_refuses_an_oversized_piece(monkeypatch):
+    # h0 counts without listing; the listing is refused above the budget,
+    # with polytope's message, before any column is listed
     fan = builtin_surface("p1xp1")
     D = divisor_from_labels(fan, {"x1": 2000, "x2": 2000})
     assert h0(fan, D) == 4_004_001
-    with pytest.raises(InputError, match="has 4004001 monomials, above 100000"):
+    with pytest.raises(InputError) as refused:
+        polytope(fan, D)
+    monkeypatch.setattr(cox, "repeat", must_not_run)  # p1xp1 has rays with u_y = 0
+    with pytest.raises(InputError, match="has 4004001 monomials, above 100000") as error:
         monomial_basis(fan, D)
+    assert str(error.value) == str(refused.value)
+
+
+def test_monomial_basis_equals_the_pointwise_listing():
+    # the column-wise listing against one tuple per polytope point, over
+    # empty, non-nef, nef and ample classes on random smooth fans
+    kinds = set()
+    for seed in range(30):
+        rng = random.Random(seed)
+        fan = random_smooth_fan(rng, rng.randint(0, 4))
+        for _ in range(40):
+            D = TorusDivisor(tuple(rng.randint(-3, 6) for _ in range(fan.n)))
+            want = pointwise_monomial_basis(fan, D)
+            assert monomial_basis(fan, D) == want, (fan, D)
+            kinds.add("empty" if not want else "ample" if is_ample(fan, D)
+                      else "nef" if is_nef(fan, D) else "not nef")
+    assert kinds == {"empty", "not nef", "nef", "ample"}
 
 
 def test_json_roundtrip():

@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction
 from math import ceil, floor
+from operator import add
 
 import pytest
 
+from toricjac.cox import monomial_basis
 from toricjac.divisors import (PicClass, TorusDivisor, canonical_divisor,
                                divisor_from_labels, genus, h0, intersect,
-                               is_ample, pic_class, polytope, ray_divisor,
-                               representative)
+                               is_ample, is_nef, pic_class, polytope,
+                               ray_divisor, representative)
 from toricjac.errors import InputError
 from toricjac.fan import build_hirzebruch, build_p2, builtin_surface, fan_from_json
 
@@ -128,11 +130,30 @@ def test_kleiman_ampleness_equals_cartier_oracle_on_random_fans():
         for _ in range(100):
             D = TorusDivisor(tuple(rng.randint(-2, 5) for _ in range(fan.n)))
             assert is_ample(fan, D) == cartier_is_ample(fan, D), (fan, D)
+            assert is_nef(fan, D) == cartier_is_ample(fan, D, strict=False), (fan, D)
             if is_ample(fan, D):
                 ample += 1
                 # an ample divisor has no higher cohomology
                 assert h0(fan, D) == euler_characteristic(fan, D)
     assert 100 < ample < 2900
+
+
+def test_nef_sections_multiply_onto_the_sum():
+    # the Minkowski lattice-point property behind the closure proof of the
+    # full J0 pieces: for nef T0 and E, S_{T0+E} = S_T0 * S_E
+    pairs = not_ample = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        fan = random_smooth_fan(rng, rng.randint(0, 4))
+        nef = [D for D in (TorusDivisor(tuple(rng.randint(-1, 3) for _ in range(fan.n)))
+                           for _ in range(40)) if is_nef(fan, D)]
+        for T0, E in zip(nef, nef[1:]):
+            sums = {tuple(map(add, a, b)) for a in monomial_basis(fan, T0)
+                    for b in monomial_basis(fan, E)}
+            assert sums == set(monomial_basis(fan, T0 + E)), (fan, T0, E)
+            pairs += 1
+            not_ample += not (is_ample(fan, T0) and is_ample(fan, E))
+    assert pairs >= 100 and not_ample >= 50, (pairs, not_ample)
 
 
 def test_polytope_and_h0_basics():

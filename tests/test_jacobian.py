@@ -5,9 +5,10 @@ from math import lcm
 import pytest
 
 from toricjac.cox import CoxPolynomial, monomial_basis, poly_from_text
-from toricjac.divisors import TorusDivisor, canonical_divisor, divisor_from_labels
+from toricjac.divisors import (TorusDivisor, canonical_divisor, divisor_from_labels,
+                               is_nef)
 from toricjac.errors import InputError
-from toricjac.fan import builtin_surface
+from toricjac.fan import Fan, builtin_surface
 from toricjac.jacobian import JacobianSystem
 from toricjac import jacobian, linalg
 
@@ -385,14 +386,15 @@ def test_full_piece_proofs_never_change_a_piece(battery, generic_systems, monkey
     references = [read_pieces(exact_only(sys_), k_max, top)
                   for _, sys_, k_max, top in systems]
     proved = {}
-    spans_mod = linalg.spans_mod
+    spans_all = JacobianSystem._spans_all
 
-    def counted(rows, n, p):
-        full = spans_mod(rows, n, p)
-        proved[p] += full
+    def counted(self, T):
+        # a proof by the rank test or by closure from one
+        full = spans_all(self, T)
+        proved[jacobian.P] += full
         return full
 
-    monkeypatch.setattr(linalg, "spans_mod", counted)
+    monkeypatch.setattr(JacobianSystem, "_spans_all", counted)
     for prime in (2, 3, 2**31 - 1):
         monkeypatch.setattr(jacobian, "P", prime)
         proved[prime] = 0
@@ -405,19 +407,68 @@ def test_full_piece_proofs_never_change_a_piece(battery, generic_systems, monkey
     assert proved[2**31 - 1] >= 30 and proved[2] > 0, proved
 
 
+def test_closure_proves_most_full_pieces(h1, monkeypatch):
+    # the certificate's pieces on trigonal d=5: the rank test proves a few
+    # small full pieces, and closure proves the larger ones from them
+    sys_ = JacobianSystem(h1, poly_from_text(h1, TRIGONAL_D5))
+    ranked = []
+    spans_mod = linalg.spans_mod
+
+    def counted(rows, n, p):
+        ranked.append(spans_mod(rows, n, p))
+        return ranked[-1]
+
+    monkeypatch.setattr(linalg, "spans_mod", counted)
+    assert sys_.saturation_certificate(9).label == "certified(9)"
+    full = [key for key, piece in sys_._cache.items()
+            if key[0] == "j0" and piece.dim == piece.ambient_dim]
+    assert len(full) == 15
+    assert len(full) - sum(ranked) >= 10, sum(ranked)
+
+
+def test_closure_starts_only_from_a_nef_class():
+    # on this F_2 section J0 is all of S_T0 at the non-nef class T0 (every
+    # monomial there has the factor x4), but not all of S_T at the nef T,
+    # although T - T0 is nef: S_T0 * S_{T-T0} is not all of S_T
+    fan = Fan([(1, 0), (0, 1), (-1, 2), (0, -1)])
+    f = poly_from_text(fan, "2*x1^4*x2^3 + 3*x1^3*x2^3*x3 + x1^2*x2^3*x3^2"
+                            " + 2*x1^2*x2^2*x4 + x1*x2^3*x3^3 + 2*x1*x2^2*x3*x4"
+                            " + 3*x2^3*x3^4 + 3*x2^2*x3^2*x4 + x2*x4^2")
+    sys_ = JacobianSystem(fan, f)
+    T0, T = TorusDivisor((-1, 0, 0, 5)), TorusDivisor((3, 2, 3, 5))
+    assert not is_nef(fan, T0) and is_nef(fan, T) and is_nef(fan, T - T0)
+    full = sys_.j0_piece(T0)
+    assert full.dim == full.ambient_dim == 30
+    piece = sys_.j0_piece(T)
+    assert (piece.dim, piece.ambient_dim) == (77, 80)
+    assert piece == exact_only(sys_).j0_piece(T)
+
+
 def test_certified_random_sections_are_nondegenerate():
-    # dense anticanonical sections on random fans: a certificate implies
-    # the chart decision's verdict, and the full-piece proofs change no k
-    certified = 0
+    # dense anticanonical sections on random fans, and a degenerate section:
+    # the certificate reads the same pieces as a run without full-piece
+    # proofs (rank test or closure), and a certificate implies the chart
+    # decision's verdict
+    systems = []
     for seed in range(16):
         rng = random.Random(seed)
         fan = random_smooth_fan(rng, rng.randint(0, 1))
         f = CoxPolynomial(fan, {e: rng.randint(-9, 9) or 1
                                 for e in monomial_basis(fan, -1 * canonical_divisor(fan))})
-        sys_ = JacobianSystem(fan, f)
+        systems.append((seed, JacobianSystem(fan, f)))
+    p1xp1 = builtin_surface("p1xp1")
+    systems.append(("lambda 0", JacobianSystem(p1xp1, lambda_section(p1xp1, 0))))
+    certified = degenerate = 0
+    for name, sys_ in systems:
+        exact = exact_only(sys_)
         verdict = sys_.saturation_certificate(6)
-        assert verdict == exact_only(sys_).saturation_certificate(6), seed
+        assert verdict == exact.saturation_certificate(6), name
+        pieces = [{key: piece for key, piece in s._cache.items() if key[0] != "basis"}
+                  for s in (sys_, exact)]
+        assert pieces[0] == pieces[1], name
+        decision = sys_.nondegenerate_decide().status
         if verdict.status == "certified":
-            assert sys_.nondegenerate_decide().status == "nondegenerate", seed
+            assert decision == "nondegenerate", name
             certified += 1
-    assert certified >= 4
+        degenerate += decision == "degenerate"
+    assert certified >= 4 and degenerate >= 1
