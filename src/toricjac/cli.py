@@ -19,7 +19,7 @@ from .divisors import (TorusDivisor, canonical_divisor, divisor_from_labels,
                        intersect, pic_class, representative, PicClass)
 from .errors import InputError, InternalError
 from .fan import builtin_surface, fan_from_json
-from .jacobian import JacobianSystem
+from .jacobian import JacobianSystem, NondegeneracyVerdict, check_k_max
 
 
 def _opt(*flags, **kwargs):
@@ -200,14 +200,17 @@ def _cmd_basis(args):
 def _cmd_nondegenerate(args):
     fan, f, _ = _inputs(args, need_f=True)
     sys_ = JacobianSystem(fan, f)
-    # the certificate checks --kmax before the chart decision runs
-    cert = None if args.kmax is None else sys_.saturation_certificate(args.kmax)
+    if args.kmax is not None:
+        check_k_max(fan, args.kmax)
     verdict = sys_.nondegenerate_decide()
     payload = {"decision": verdict.label, "witness": verdict.witness}
     lines = [f"chart decision: {verdict.label}"]
     if verdict.witness:
         lines.append(f"witness: {verdict.witness}")
-    if cert is not None:
+    if args.kmax is not None:
+        # a certificate implies nondegeneracy, so none exists on a degenerate section
+        cert = (NondegeneracyVerdict("undetermined", k=args.kmax)
+                if verdict.status == "degenerate" else sys_.saturation_certificate(args.kmax))
         payload["certificate"] = cert.label
         lines.append(f"saturation certificate: {cert.label}")
     return payload, "\n".join(lines)

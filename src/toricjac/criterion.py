@@ -89,14 +89,10 @@ class CriterionReport:
 
 
 def _evaluate(fan, D_beta, f, mode):
-    beta = pic_class(fan, D_beta)
-    fcls = f.homogeneous_class()
-    if fcls is None:
-        raise InputError("f must be nonzero")
-    if fcls != beta:
+    sys = JacobianSystem(fan, f)
+    if sys.beta_class != pic_class(fan, D_beta):
         raise InputError("f is not homogeneous of the class of the given divisor")
     K = canonical_divisor(fan)
-    sys = JacobianSystem(fan, f)
 
     s_beta = sys.section_dim(D_beta)
     s_beta_k = sys.section_dim(D_beta + K)
@@ -154,7 +150,7 @@ def _evaluate(fan, D_beta, f, mode):
         mode=mode,
         surface=fan.to_json(),
         beta_divisor=tuple(D_beta.coeffs),
-        beta_class=beta.vec,
+        beta_class=sys.beta_class.vec,
         genus=g,
         dims=dims,
         preconditions=pre,

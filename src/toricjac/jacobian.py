@@ -3,25 +3,30 @@
 For a homogeneous f the Euler terms are g_rho = x_rho df/dx_rho.  They
 generate J0; the criterion and the rank-g search read the quotient by
 J1 = J0 : (prod x_rho).  The Euler relations phi with phi(beta) = 0
-leave at most three of the g_rho spanning all of them.  With f's
-denominators cleared once, every graded piece is one integer elimination
-(linalg.echelon) of the products m * g of those spanning terms, each a
-sparse integer row written straight from the terms of g.  Multiplication
-by x = prod x_rho maps S_D injectively onto the span C of the monomials
-of class D - K that every variable divides, so x * J1_D = J0_{D-K} ∩ C:
-the echelon of the J0 products at D - K, with the columns outside C
-first, started at C.
+leave at most three of the g_rho spanning all of them, and with f's
+denominators cleared once their products m * g are sparse integer rows
+written straight from the terms of g.
 
-A piece that is all of S_T (J0 at T, or J1 at D with T = D - K) is
-proved so without an exact elimination: a rank of h0(T) mod P is a
-nonzero h0(T)-minor, so the rank over Q is h0(T) too.  Or by closure: if
-T0 and T - T0 are nef and J0 is all of S_T0, the ideal J0 contains
-S_T0 * S_{T-T0} = S_T.  For nef classes the polygon of the sum is the
-Minkowski sum of the polygons (Cox-Little-Schenck, section 6.1), whose
-lattice points are the sums of theirs (Haase-Nill-Paffenholz-Santos,
-Electron. J. Combin. 15 (2008); Fakhruddin, arXiv:math/0208178).
-Otherwise the piece is eliminated exactly: a lower rank mod P proves
-nothing, since P may divide every maximal minor of a full piece.
+Both ideals are read by one builder, JacobianSystem._piece(D, T, shift):
+J0 at class(T) in the coordinates of S_D, through multiplication by
+x^shift, x = prod x_rho.  J0 at D is the piece (D, D, 0).  Multiplication
+by x maps S_D injectively onto the span C of the monomials of class
+D - K that every variable divides, so x * J1_D = J0_{D-K} ∩ C, and J1 at
+D is the piece (D, D - K, 1).  When J0 is all of S_T, the piece is all
+of S_D.  The builder tries, in this order:
+
+- closure, which needs no row: if T0 and T - T0 are nef and J0 is all of
+  S_T0, the ideal J0 contains S_T0 * S_{T-T0} = S_T.  For nef classes the
+  polygon of the sum is the Minkowski sum of the polygons
+  (Cox-Little-Schenck, section 6.1), whose lattice points are the sums of
+  theirs (Haase-Nill-Paffenholz-Santos, Electron. J. Combin. 15 (2008);
+  Fakhruddin, arXiv:math/0208178);
+- a rank of h0(T) mod P of the products, written once over the monomials
+  of S_T with those outside C first.  It is a nonzero h0(T)-minor, so the
+  rank over Q is h0(T) too;
+- one exact integer elimination (linalg.echelon) of the same rows,
+  started at C.  A lower rank mod P proves nothing, since P may divide
+  every maximal minor of a full piece.
 """
 
 from dataclasses import dataclass
@@ -40,6 +45,15 @@ from . import linalg
 # prime gives the same verdicts and pieces; a small one only sends more
 # work to the exact routes.
 P = 2**31 - 1
+
+
+def check_k_max(fan, k_max):
+    """Refuse a certificate budget below 1, or one whose generator powers
+    have a piece above MAX_BASIS_DIM, before any work."""
+    if k_max < 1:
+        raise InputError("k_max must be at least 1")
+    for g in fan.irrelevant_generators():
+        columns(fan, k_max * TorusDivisor(g))
 
 
 @dataclass(frozen=True)
@@ -72,10 +86,6 @@ class GradedSubspace:
         """The basis as dense Fraction rows with unit pivots, in pivot order."""
         return tuple(linalg.dense_row(self.basis[p], p, len(self.ambient))
                      for p in self.pivots)
-
-    @property
-    def ambient_dim(self):
-        return len(self.ambient)
 
     @cached_property
     def columns(self):
@@ -212,64 +222,45 @@ class JacobianSystem:
         except KeyError:
             raise InternalError("product landed outside the expected graded piece") from None
 
-    def _spans_all(self, T):
-        """Whether J0 at class(T) is proved all of S_T without an exact elimination.
+    def _spans_mod(self, rows, n):
+        """Whether the rows have rank n mod P: True proves they span."""
+        return linalg.spans_mod(rows, n, P)
 
-        True is a proof: closure from a nef T0 that the rank test proved
-        full, with T - T0 nef (module docstring: Cox-Little-Schenck 6.1,
-        Haase-Nill-Paffenholz-Santos), or a rank of h0(T) mod P, a nonzero
-        minor.  False proves nothing, and the caller eliminates exactly.
-        Fewer products than h0(T) cannot span, so the rank test is not tried.
-        """
-        nef = is_nef(self.fan, T)
-        if nef and any(is_nef(self.fan, T - T0) for T0 in self._full_nef):
-            return True
-        basis = self._basis(T)
-        if len(self._spanning_terms) * self.section_dim(T - self.beta_divisor) < len(basis):
-            return False
-        full = linalg.spans_mod(self._j0_rows(T, basis), len(basis), P)
-        if full and nef:
-            self._full_nef.append(T)
-        return full
-
-    def j0_piece(self, D):
-        """Graded piece of the Euler-term ideal at class(D)."""
-        return self._cached("j0", D, self._build_j0)
-
-    def _build_j0(self, D):
-        ambient = self._basis(D)
-        if self._spans_all(D):
-            return GradedSubspace.full(ambient)
-        return GradedSubspace(ambient, linalg.echelon(self._j0_rows(D, ambient), 0))
-
-    def j1_piece(self, D):
-        """Graded piece at class(D) of J0 : (prod x_rho).
-
-        Multiplication by prod x_rho adds 1 to every exponent, which keeps
-        the lex order, and maps the basis of class(D) onto the monomials C
-        of class(D) - class(K) that every variable divides.  With the
-        columns outside C first, the echelon of the J0 products there
-        started at C is the reduced echelon basis of J0 ∩ C, that is, of
-        the J1 piece in the coordinates of class(D).
-        """
-        return self._cached("j1", D, self._build_j1)
-
-    def _build_j1(self, D):
+    def _piece(self, D, T, shift):
+        """J0 at class(T) in the coordinates of S_D, through multiplication
+        by prod x_rho^shift: closure, the rank test, or one elimination
+        (module docstring).  Closure starts from the nef classes the rank
+        test proved full."""
         ambient = self._basis(D)
         if not ambient:
             return GradedSubspace((), {})
-        target = D - canonical_divisor(self.fan)
-        tbasis = self._basis(target)
-        shifted = [tuple(a + 1 for a in e) for e in ambient]
-        inside = set(shifted)
-        if not inside.issubset(tbasis):
-            raise InternalError("shifted monomial missing from the target piece")
-        # J0 all of S_{D-K} contains x * S_D, so J1 is all of S_D
-        if self._spans_all(target):
+        nef = is_nef(self.fan, T)
+        if nef and any(is_nef(self.fan, T - T0) for T0 in self._full_nef):
             return GradedSubspace.full(ambient)
-        order = [e for e in tbasis if e not in inside] + shifted
-        start = len(order) - len(shifted)
-        return GradedSubspace(ambient, linalg.echelon(self._j0_rows(target, order), start))
+        tbasis = self._basis(T)
+        shifted = [tuple(a + shift for a in e) for e in ambient]
+        inside = set(shifted)
+        order = [e for e in tbasis if e not in inside]
+        if len(order) + len(shifted) != len(tbasis):
+            raise InternalError("shifted monomial missing from the target piece")
+        order += shifted
+        rows = self._j0_rows(T, order)
+        # fewer products than monomials cannot span
+        if len(rows) >= len(order) and self._spans_mod(rows, len(order)):
+            if nef:
+                self._full_nef.append(T)
+            return GradedSubspace.full(ambient)
+        return GradedSubspace(ambient, linalg.echelon(rows, len(order) - len(shifted)))
+
+    def j0_piece(self, D):
+        """Graded piece of the Euler-term ideal at class(D)."""
+        return self._cached("j0", D, lambda D: self._piece(D, D, 0))
+
+    def j1_piece(self, D):
+        """Graded piece at class(D) of J0 : (prod x_rho), read from J0 at
+        class(D) - class(K) (module docstring)."""
+        return self._cached("j1", D, lambda D: self._piece(
+            D, D - canonical_divisor(self.fan), 1))
 
     def r1_dim(self, D):
         """Dimension of the graded piece of the quotient ring S/J1."""
@@ -336,14 +327,11 @@ class JacobianSystem:
         locus, which certifies nondegeneracy.  Conversely, a nondegenerate
         f has B in rad(J0) for the irrelevant ideal B by the
         Nullstellensatz, so some power B^k lies in J0; 'undetermined'
-        only means that k_max was below the least such k.  A k_max whose
-        generator powers have a piece above MAX_BASIS_DIM is refused first.
+        only means that k_max was below the least such k.  check_k_max
+        refuses a k_max first.
         """
-        if k_max < 1:
-            raise InputError("k_max must be at least 1")
+        check_k_max(self.fan, k_max)
         gens = self.fan.irrelevant_generators()
-        for g in gens:
-            columns(self.fan, k_max * TorusDivisor(g))
         products = {(0,) * self.fan.n}
         for k in range(1, k_max + 1):
             products = {tuple(a + b for a, b in zip(p, g))

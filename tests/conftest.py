@@ -66,8 +66,8 @@ def j1_dim_brute(sys_, D):
     residuals = []
     for e in amb:
         red = target.residual({tuple(a + 1 for a in e): 1})
-        residuals.append([red.get(k, 0) for k in range(target.ambient_dim)])
-    return len(amb) - linalg.rank(residuals, target.ambient_dim)
+        residuals.append([red.get(k, 0) for k in range(len(target.ambient))])
+    return len(amb) - linalg.rank(residuals, len(target.ambient))
 
 
 def pointwise_monomial_basis(fan, D):

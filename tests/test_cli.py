@@ -5,10 +5,11 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from toricjac import criterion, divisors
+from toricjac import criterion, divisors, jacobian, linalg
 from toricjac.divisors import canonical_divisor, pic_class
 from toricjac.jacobian import JacobianSystem
 
@@ -398,6 +399,19 @@ def test_kmax_above_the_budget_is_refused_quickly(monkeypatch):
                    "above 100000\n")
 
 
+def test_kmax_on_a_degenerate_section_skips_the_certificate(monkeypatch):
+    # a certificate implies nondegeneracy, so after the chart decision says
+    # degenerate no power of the irrelevant ideal is tried
+    monkeypatch.setattr(JacobianSystem, "j0_piece", _must_not_run)
+    monkeypatch.setattr(JacobianSystem, "saturation_certificate", _must_not_run)
+    start = time.perf_counter()
+    assert run_cli(["nondegenerate", "--kmax", "60"] + DEGENERATE_22) == (
+        0, "chart decision: degenerate\n"
+           "witness: chart 0: cone (x3, x2)\n"
+           "saturation certificate: undetermined(k_max=60)\n", "")
+    assert time.perf_counter() - start < 1
+
+
 def test_kmax_budget_is_inclusive(monkeypatch):
     # at k_max = 9 on trigonal d=5 the largest piece the certificate reads is
     # the ninth power of a generator, of 145 monomials; at that budget the
@@ -512,6 +526,20 @@ def test_find_eta_json():
     assert len(data["matrix"]) == 5
 
 
+def test_find_eta_reports_the_best_rank_when_it_finds_none(monkeypatch):
+    # every seed finds rank g on this section, so the search is shown rank
+    # g - 1 for every eta
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda rows, ncols: rank(rows, ncols) - 1)
+    argv = ["find-eta", "--attempts", "2", "--class", "5,3", "--poly", TRIGONAL_D5] + H1
+    assert run_cli(argv) == (0, "genus g = 5\nseed = 1729\nattempts used = 2\n"
+                                "found: no  (best rank 4)\n", "")
+    code, out, _ = run_cli(argv + ["--json"])
+    assert code == 0
+    assert json.loads(out) == {"found": False, "rank": 4, "genus": 5,
+                               "attempts_used": 2, "seed": 1729, "best_rank": 4}
+
+
 def test_find_eta_seed_changes_eta():
     a = run_cli(["find-eta", "--class", "5,3", "--poly", TRIGONAL_D5] + H1)
     b = run_cli(["find-eta", "--seed", "7", "--class", "5,3",
@@ -565,6 +593,31 @@ def test_poly_file_text_and_json(tmp_path):
     assert run_cli(["criterion", "--poly-file", str(pjson)] + H1) == base
 
 
+def _no_elimination(*args):
+    raise AssertionError("this piece must be proved full without an elimination")
+
+
+def test_hilbert_full_and_empty_j1_pieces(monkeypatch):
+    # J1 at 3beta + K is proved full through J0 at its target 3beta by the
+    # rank test, and J1 at beta + 3K has no monomials; neither eliminates
+    no_echelon = SimpleNamespace(**{**vars(linalg), "echelon": _no_elimination})
+    monkeypatch.setattr(jacobian, "linalg", no_echelon)
+    hilbert = ["hilbert", "--poly", TRIGONAL_D5] + H1
+    assert run_cli(hilbert + ["--class-of", "3beta+K"]) == (
+        0, "divisor: (-1, -1, 5, 8)  class (5, 7)\n"
+           "dim S  = 76\ndim J1 = 76\ndim R1 = 0\n", "")
+    assert run_cli(hilbert + ["--class-of", "beta+3K"]) == (
+        0, "divisor: (-3, -3, -1, 0)  class (-1, -3)\n"
+           "dim S  = 0\ndim J1 = 0\ndim R1 = 0\n", "")
+
+
+def test_class_on_p2_is_one_degree():
+    code, out, _ = run_cli(["basis", "--surface", "p2", "--class", "2"])
+    assert code == 0
+    assert out.splitlines()[:2] == ["divisor: (2, 0, 0)  class (2,)", "dimension: 6"]
+    assert run_cli(["basis", "--surface", "p2", "--class", "2,1"])[0] == 2
+
+
 def test_hilbert_dump_subspaces():
     code, out, _ = run_cli(
         ["hilbert", "--poly", TRIGONAL_D5, "--class-of", "2beta+2K",
@@ -610,6 +663,16 @@ def test_bad_fan_file_json(tmp_path):
     code, _, err = run_cli(["describe-surface", "--fan-file", str(path)])
     assert code == 2
     assert "not valid JSON" in err
+
+
+def test_bad_polynomial_file_json(tmp_path):
+    # a file starting with "{" is read as JSON, never as an expression
+    path = tmp_path / "f.json"
+    path.write_text('  {"terms": ')
+    code, out, err = run_cli(["nondegenerate", "--surface", "p1xp1",
+                              "--poly-file", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: polynomial file is not valid JSON: ")
 
 
 def test_json_inputs_refuse_floats_and_booleans(tmp_path):

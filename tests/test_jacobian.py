@@ -9,7 +9,7 @@ from toricjac.divisors import (TorusDivisor, canonical_divisor, divisor_from_lab
                                is_nef)
 from toricjac.errors import InputError
 from toricjac.fan import Fan, builtin_surface
-from toricjac.jacobian import JacobianSystem
+from toricjac.jacobian import GradedSubspace, JacobianSystem
 from toricjac import jacobian, linalg
 
 from conftest import (H2_TRIGONAL, TRIGONAL_D5, dense_reduce, euler_terms,
@@ -63,7 +63,7 @@ def test_j0_contains_euler_terms(s5):
     piece = s5.j0_piece(s5.beta_divisor)
     for term in euler_terms(s5):
         assert not piece.residual(term.terms)
-    assert piece.ambient_dim == 18
+    assert len(piece.ambient) == 18
     assert len(piece.coset_monomials()) == 15
 
 
@@ -99,11 +99,11 @@ def test_residual_of_monomial_matches_dense_reduction(s5, h1):
               rational.j0_piece(2 * beta + K)]
     for piece in pieces:
         for k, e in enumerate(piece.ambient):
-            unit = [0] * piece.ambient_dim
+            unit = [0] * len(piece.ambient)
             unit[k] = 1
             red = piece.residual({e: 1})
             assert all(isinstance(x, Fraction) and x for x in red.values())
-            dense = [red.get(c, Fraction(0)) for c in range(piece.ambient_dim)]
+            dense = [red.get(c, Fraction(0)) for c in range(len(piece.ambient))]
             assert dense == dense_reduce(piece.rows, piece.pivots, unit)
 
 
@@ -285,13 +285,18 @@ def test_j1_rows_shift_into_j0(battery, p1xp1):
 
 
 def test_j1_piece_is_one_elimination(h1, monkeypatch):
+    # the elimination reads the product rows written for it, once
     sys_ = JacobianSystem(h1, poly_from_text(h1, TRIGONAL_D5))
-    calls = []
-    echelon = linalg.echelon
+    calls, built = [], []
+    echelon, j0_rows = linalg.echelon, JacobianSystem._j0_rows
 
     def counted(rows, start):
-        calls.append(len(rows))
+        calls.append(rows)
         return echelon(rows, start)
+
+    def counted_rows(self, D, order):
+        built.append(j0_rows(self, D, order))
+        return built[-1]
 
     def forbidden(*args):
         raise AssertionError("j1_piece must not take this route")
@@ -299,10 +304,11 @@ def test_j1_piece_is_one_elimination(h1, monkeypatch):
     monkeypatch.setattr(linalg, "echelon", counted)
     monkeypatch.setattr(linalg, "kernel", forbidden)
     monkeypatch.setattr(JacobianSystem, "j0_piece", forbidden)
+    monkeypatch.setattr(JacobianSystem, "_j0_rows", counted_rows)
     assert sys_.j1_piece(sys_.beta_divisor).dim == 7
-    assert len(calls) == 1
+    assert len(built) == len(calls) == 1 and calls[0] is built[0]
     assert sys_.j1_piece(sys_.beta_divisor).dim == 7
-    assert len(calls) == 1
+    assert len(built) == len(calls) == 1
 
 
 def test_pieces_build_no_polynomials(h1, monkeypatch):
@@ -359,11 +365,29 @@ def test_j1_piece_equals_rref_then_slice(battery, generic_systems):
 
 def exact_only(sys_):
     """A fresh system on the same section whose pieces are all eliminated
-    exactly, from the products of all n Euler terms."""
+    exactly, from the products of all n Euler terms: its rank test always
+    fails, and closure starts only from a rank proof."""
+    if not hasattr(JacobianSystem, "_spans_mod"):
+        raise AttributeError("JacobianSystem has no _spans_mod rank test to disable")
     exact = JacobianSystem(sys_.fan, sys_.f)
-    exact._spans_all = lambda T: False
+    exact._spans_mod = lambda rows, n: False
     exact._spanning_terms = tuple(g for g in exact._integral_terms if g)
     return exact
+
+
+@pytest.fixture
+def proofs(monkeypatch):
+    """The ambients of the pieces proved full, by closure or by the rank
+    test, while the test runs: a proved piece is GradedSubspace.full."""
+    proved = []
+    full = GradedSubspace.full.__func__
+
+    def counted(cls, ambient):
+        proved.append(ambient)
+        return full(cls, ambient)
+
+    monkeypatch.setattr(GradedSubspace, "full", classmethod(counted))
+    return proved
 
 
 def read_pieces(sys_, k_max, top):
@@ -377,7 +401,8 @@ def read_pieces(sys_, k_max, top):
     return {key: piece for key, piece in sys_._cache.items() if key[0] != "basis"}
 
 
-def test_full_piece_proofs_never_change_a_piece(battery, generic_systems, monkeypatch):
+def test_full_piece_proofs_never_change_a_piece(battery, generic_systems, monkeypatch,
+                                                proofs):
     # whatever the prime of the rank test, every piece equals the exact
     # elimination of the products of all n Euler terms; the battery's certificates run to k = 9,
     # where trigonal d=5 certifies, and it also reads the top class 3beta + 2K
@@ -385,48 +410,53 @@ def test_full_piece_proofs_never_change_a_piece(battery, generic_systems, monkey
     systems += [(name, sys_, 3, False) for name, sys_ in generic_systems]
     references = [read_pieces(exact_only(sys_), k_max, top)
                   for _, sys_, k_max, top in systems]
+    assert proofs == []
     proved = {}
-    spans_all = JacobianSystem._spans_all
-
-    def counted(self, T):
-        # a proof by the rank test or by closure from one
-        full = spans_all(self, T)
-        proved[jacobian.P] += full
-        return full
-
-    monkeypatch.setattr(JacobianSystem, "_spans_all", counted)
     for prime in (2, 3, 2**31 - 1):
         monkeypatch.setattr(jacobian, "P", prime)
-        proved[prime] = 0
+        proofs.clear()
         for (name, sys_, k_max, top), reference in zip(systems, references):
             fresh = JacobianSystem(sys_.fan, sys_.f)
             assert len(fresh._spanning_terms) <= 3, name
             assert read_pieces(fresh, k_max, top) == reference, (name, prime)
-    # the proofs were taken (mod 3 the trigonal Euler terms drop their
-    # exponent-3 terms, and no piece has full rank there)
+        proved[prime] = len(proofs)
+    # the proofs, by the rank test or by closure from one, were taken (mod 3
+    # the trigonal Euler terms drop their exponent-3 terms, and no piece has
+    # full rank there)
     assert proved[2**31 - 1] >= 30 and proved[2] > 0, proved
 
 
-def test_closure_proves_most_full_pieces(h1, monkeypatch):
+def test_closure_proves_most_full_pieces(h1, monkeypatch, proofs):
     # the certificate's pieces on trigonal d=5: the rank test proves a few
     # small full pieces, and closure proves the larger ones from them
+    # without writing a product row
     sys_ = JacobianSystem(h1, poly_from_text(h1, TRIGONAL_D5))
-    ranked = []
-    spans_mod = linalg.spans_mod
+    ranked, built = [], []
+    spans_mod, j0_rows = linalg.spans_mod, JacobianSystem._j0_rows
 
     def counted(rows, n, p):
         ranked.append(spans_mod(rows, n, p))
         return ranked[-1]
 
+    def counted_rows(self, D, order):
+        built.append(D)
+        return j0_rows(self, D, order)
+
     monkeypatch.setattr(linalg, "spans_mod", counted)
+    monkeypatch.setattr(JacobianSystem, "_j0_rows", counted_rows)
     assert sys_.saturation_certificate(9).label == "certified(9)"
-    full = [key for key, piece in sys_._cache.items()
-            if key[0] == "j0" and piece.dim == piece.ambient_dim]
-    assert len(full) == 15
-    assert len(full) - sum(ranked) >= 10, sum(ranked)
+    pieces = [piece for key, piece in sys_._cache.items() if key[0] == "j0"]
+    full = [piece for piece in pieces if piece.dim == len(piece.ambient)]
+    assert len(full) == len(proofs) == 15
+    closure = len(proofs) - sum(ranked)
+    assert closure >= 10, sum(ranked)
+    # every other piece writes its rows once, also when a failed rank test
+    # precedes its elimination
+    assert len(ranked) > sum(ranked)
+    assert len(built) == len(pieces) - closure
 
 
-def test_closure_starts_only_from_a_nef_class():
+def test_closure_starts_only_from_a_nef_class(proofs):
     # on this F_2 section J0 is all of S_T0 at the non-nef class T0 (every
     # monomial there has the factor x4), but not all of S_T at the nef T,
     # although T - T0 is nef: S_T0 * S_{T-T0} is not all of S_T
@@ -437,14 +467,17 @@ def test_closure_starts_only_from_a_nef_class():
     sys_ = JacobianSystem(fan, f)
     T0, T = TorusDivisor((-1, 0, 0, 5)), TorusDivisor((3, 2, 3, 5))
     assert not is_nef(fan, T0) and is_nef(fan, T) and is_nef(fan, T - T0)
+    reference = exact_only(sys_).j0_piece(T)
+    assert proofs == []
     full = sys_.j0_piece(T0)
-    assert full.dim == full.ambient_dim == 30
+    assert full.dim == len(full.ambient) == 30
+    assert proofs == [full.ambient]
     piece = sys_.j0_piece(T)
-    assert (piece.dim, piece.ambient_dim) == (77, 80)
-    assert piece == exact_only(sys_).j0_piece(T)
+    assert (piece.dim, len(piece.ambient)) == (77, 80)
+    assert piece == reference
 
 
-def test_certified_random_sections_are_nondegenerate():
+def test_certified_random_sections_are_nondegenerate(proofs):
     # dense anticanonical sections on random fans, and a degenerate section:
     # the certificate reads the same pieces as a run without full-piece
     # proofs (rank test or closure), and a certificate implies the chart
@@ -461,8 +494,11 @@ def test_certified_random_sections_are_nondegenerate():
     certified = degenerate = 0
     for name, sys_ in systems:
         exact = exact_only(sys_)
+        proofs.clear()
+        reference = exact.saturation_certificate(6)
+        assert proofs == [], name
         verdict = sys_.saturation_certificate(6)
-        assert verdict == exact.saturation_certificate(6), name
+        assert verdict == reference, name
         pieces = [{key: piece for key, piece in s._cache.items() if key[0] != "basis"}
                   for s in (sys_, exact)]
         assert pieces[0] == pieces[1], name
