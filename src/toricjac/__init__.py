@@ -12,8 +12,7 @@ from .fan import (Fan, build_hirzebruch, build_p2, builtin_surface,
 from .divisors import (TorusDivisor, PicClass, canonical_divisor,
                        divisor_from_labels, genus, h0, intersect, is_ample, is_nef,
                        pic_class, polytope, ray_divisor, representative)
-from .cox import (CoxPolynomial, monomial_basis, multidegree, poly_from_json,
-                  poly_from_text)
+from .cox import CoxPolynomial, monomial_basis, poly_from_json, poly_from_text
 from .jacobian import GradedSubspace, JacobianSystem, NondegeneracyVerdict
 from .criterion import (DEFAULT_SEED, CriterionReport, DeformationSearch,
                         evaluate, find_rank_g_deformation, quick_criterion,
@@ -29,8 +28,7 @@ __all__ = [
     "TorusDivisor", "PicClass", "canonical_divisor",
     "divisor_from_labels", "genus", "h0", "intersect", "is_ample", "is_nef",
     "pic_class", "polytope", "ray_divisor", "representative",
-    "CoxPolynomial", "monomial_basis", "multidegree", "poly_from_json",
-    "poly_from_text",
+    "CoxPolynomial", "monomial_basis", "poly_from_json", "poly_from_text",
     "GradedSubspace", "JacobianSystem", "NondegeneracyVerdict",
     "DEFAULT_SEED", "CriterionReport", "DeformationSearch", "evaluate",
     "find_rank_g_deformation", "quick_criterion", "trigonal_family_table",

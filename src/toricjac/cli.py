@@ -263,7 +263,7 @@ def _cmd_find_eta(args):
         lines.append(f"found: yes  (rank {result.rank})")
         lines.append(f"eta = {result.eta.to_text()}")
     else:
-        lines.append(f"found: no  (best rank {result.best_rank})")
+        lines.append(f"found: no  (best rank {result.rank})")
     return payload, "\n".join(lines)
 
 

@@ -13,12 +13,7 @@ from itertools import repeat
 # polytope is unused here, but perfbench/spans.py wraps it under this name
 from .divisors import TorusDivisor, columns, pic_class, polytope  # noqa: F401
 from .errors import InputError, InternalError
-from .fan import _label_key, _tuple
-
-
-def multidegree(fan, exps):
-    """Picard class of the monomial with the given exponent tuple."""
-    return pic_class(fan, TorusDivisor(tuple(exps)))
+from .fan import LABEL, _label_key, _tuple
 
 
 def monomial_basis(fan, D):
@@ -78,7 +73,7 @@ class CoxPolynomial:
         """Common Picard class of all terms (None for the zero polynomial)."""
         cls = None
         for exps in self.terms:
-            c = multidegree(self.fan, exps)
+            c = pic_class(self.fan, TorusDivisor(exps))
             if cls is None:
                 cls = c
             elif c != cls:
@@ -140,7 +135,7 @@ def poly_from_json(fan, obj):
 
 
 # a factor: an integer, p/q, or a name with an optional ^exponent
-_FACTOR = r"(\d+)(?:\s*/\s*(\d+))?|([A-Za-z_]\w*)(?:\s*\^\s*(\d+))?"
+_FACTOR = rf"(\d+)(?:\s*/\s*(\d+))?|({LABEL})(?:\s*\^\s*(\d+))?"
 _FACTORS = re.compile(_FACTOR)
 # a signed term: a run of signs (empty only for the first term, checked by the
 # caller), then factors joined by *

@@ -179,7 +179,8 @@ def quick_criterion(fan, D_beta, f):
 
 @dataclass
 class DeformationSearch:
-    """Result of the seeded search for a maximal-rank deformation class."""
+    """Result of the seeded search for a maximal-rank deformation class;
+    rank is g when found, the best rank seen otherwise."""
 
     found: bool
     rank: int
@@ -188,7 +189,6 @@ class DeformationSearch:
     seed: int
     eta: object = None
     matrix: tuple = field(default=None, repr=False)
-    best_rank: int = 0
 
     def to_dict(self):
         out = {
@@ -197,7 +197,7 @@ class DeformationSearch:
             "genus": self.genus,
             "attempts_used": self.attempts_used,
             "seed": self.seed,
-            "best_rank": self.best_rank,
+            "best_rank": self.rank,
         }
         if self.eta is not None:
             out["eta"] = self.eta.to_json()
@@ -238,9 +238,9 @@ def find_rank_g_deformation(fan, D_beta, f, attempts=32, seed=DEFAULT_SEED):
         if rank == g:
             return DeformationSearch(found=True, rank=rank, genus=g,
                                      attempts_used=attempt, seed=seed,
-                                     eta=eta, matrix=matrix, best_rank=best)
+                                     eta=eta, matrix=matrix)
     return DeformationSearch(found=False, rank=best, genus=g,
-                             attempts_used=attempts, seed=seed, best_rank=best)
+                             attempts_used=attempts, seed=seed)
 
 
 def trigonal_section(fan, d):

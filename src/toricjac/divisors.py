@@ -3,6 +3,7 @@ ampleness and nefness, section polytopes and adjunction."""
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import mul
 
 from .errors import InputError, InternalError
 from .fan import _det, _tuple
@@ -29,11 +30,17 @@ class TorusDivisor:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _int_tuple(self.coeffs, "divisor"))
 
+    def _pairs(self, other):
+        if len(self.coeffs) != len(other.coeffs):
+            raise InputError(f"cannot combine divisors of {len(self.coeffs)} "
+                             f"and {len(other.coeffs)} coefficients")
+        return zip(self.coeffs, other.coeffs)
+
     def __add__(self, other):
-        return TorusDivisor(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return TorusDivisor(tuple(a + b for a, b in self._pairs(other)))
 
     def __sub__(self, other):
-        return TorusDivisor(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return TorusDivisor(tuple(a - b for a, b in self._pairs(other)))
 
     def __mul__(self, k):
         return TorusDivisor(tuple(k * a for a in self.coeffs))
@@ -50,26 +57,6 @@ class PicClass:
 
     def __post_init__(self):
         object.__setattr__(self, "vec", _int_tuple(self.vec, "Picard class"))
-
-    def _check(self, other):
-        if self.basis_id != other.basis_id:
-            raise InputError("Picard classes from different fans cannot be combined")
-
-    def __add__(self, other):
-        self._check(other)
-        return PicClass(tuple(a + b for a, b in zip(self.vec, other.vec)), self.basis_id)
-
-    def __sub__(self, other):
-        self._check(other)
-        return PicClass(tuple(a - b for a, b in zip(self.vec, other.vec)), self.basis_id)
-
-    def __mul__(self, k):
-        return PicClass(tuple(k * a for a in self.vec), self.basis_id)
-
-    __rmul__ = __mul__
-
-    def is_zero(self):
-        return not any(self.vec)
 
 
 def _check_len(fan, D):
@@ -118,31 +105,30 @@ def representative(fan, c):
     return TorusDivisor((0, 0) + tuple(c.vec))
 
 
-def intersect(fan, D, E):
-    """Intersection number D.E.
-
-    Distinct rays meet once when adjacent and never otherwise; the
-    diagonal entries are the self-intersection numbers from the wall
-    relations, so D.E = sum_i d_i (s_i e_i + e_{i-1} + e_{i+1}).
-    """
+def _degrees(fan, D):
+    """D.D_rho for every ray rho.  Distinct rays meet once when adjacent and
+    never otherwise, and D_rho.D_rho = s_rho comes from the wall relations,
+    so D.D_rho = s_rho d_rho + d_{rho-1} + d_{rho+1}."""
     _check_len(fan, D)
+    d, s, n = D.coeffs, fan.self_intersections(), fan.n
+    return [s[i] * d[i] + d[i - 1] + d[(i + 1) % n] for i in range(n)]
+
+
+def intersect(fan, D, E):
+    """Intersection number D.E = sum_rho e_rho (D.D_rho)."""
     _check_len(fan, E)
-    n = fan.n
-    s = fan.self_intersections()
-    e = E.coeffs
-    return sum(d * (s[i] * e[i] + e[i - 1] + e[(i + 1) % n])
-               for i, d in enumerate(D.coeffs))
+    return sum(map(mul, _degrees(fan, D), E.coeffs))
 
 
 def is_ample(fan, D):
     """Toric Kleiman criterion: D is ample exactly when D.D_rho > 0 for
     every invariant curve D_rho (Cox-Little-Schenck, Thm 6.3.13)."""
-    return all(intersect(fan, D, ray_divisor(fan, i)) > 0 for i in range(fan.n))
+    return min(_degrees(fan, D)) > 0
 
 
 def is_nef(fan, D):
     """D is nef exactly when D.D_rho >= 0 for every rho (Cox-Little-Schenck, Thm 6.3.12)."""
-    return all(intersect(fan, D, ray_divisor(fan, i)) >= 0 for i in range(fan.n))
+    return min(_degrees(fan, D)) >= 0
 
 
 def _columns(fan, D):
@@ -194,7 +180,7 @@ def h0(fan, D):
 
 def genus(fan, D):
     """Adjunction: arithmetic genus 1 + (D.D + D.K)/2 of a curve in |D|."""
-    t = intersect(fan, D, D) + intersect(fan, D, canonical_divisor(fan))
+    t = intersect(fan, D, D + canonical_divisor(fan))
     if t % 2:
         raise InternalError("adjunction parity failure; the fan data is corrupt")
     return 1 + t // 2

@@ -5,38 +5,31 @@ are the consecutive pairs once the rays are sorted counterclockwise.  All
 arithmetic is exact.
 """
 
-from functools import cmp_to_key
+import re
+from fractions import Fraction
 from math import gcd
 
 from .errors import InputError, InternalError
+
+# A variable name: what the polynomial grammar reads as a variable, and so
+# the only labels a fan accepts.
+LABEL = r"[A-Za-z_]\w*"
 
 
 def _det(u, v):
     return u[0] * v[1] - u[1] * v[0]
 
 
-def _half(u):
-    # 0 on the upper half plane including the positive x-axis, 1 below.
-    return 0 if (u[1] > 0 or (u[1] == 0 and u[0] > 0)) else 1
-
-
-def _angle_cmp(u, v):
-    """Counterclockwise order starting from the positive x-axis."""
-    hu, hv = _half(u), _half(v)
-    if hu != hv:
-        return -1 if hu < hv else 1
-    d = _det(u, v)
-    if d > 0:
-        return -1
-    if d < 0:
-        return 1
-    return 0
+def _angle_key(u):
+    """Counterclockwise order from the positive x-axis: the upper half plane
+    (with the positive x-axis) first, the x-axis first in each half, then
+    -cot of the angle, which grows with the angle inside a half plane."""
+    x, y = u
+    return (y < 0 or (y == 0 and x < 0), y != 0, Fraction(-x, y) if y else 0)
 
 
 def _sorted_order(rays):
-    idx = list(range(len(rays)))
-    idx.sort(key=cmp_to_key(lambda i, j: _angle_cmp(rays[i], rays[j])))
-    return idx
+    return sorted(range(len(rays)), key=lambda i: _angle_key(rays[i]))
 
 
 def _tuple(value, what):
@@ -113,6 +106,10 @@ class Fan:
             raise InputError("need exactly one label per ray")
         if len(set(labels)) != len(labels):
             raise InputError("duplicate variable labels")
+        for lab in labels:
+            if not re.fullmatch(LABEL, lab):
+                raise InputError(f"label {lab!r} is not a variable name: a letter "
+                                 "or _, then letters, digits or _")
         problems = validate(rays)
         if problems:
             raise InputError("invalid fan: " + "; ".join(problems))

@@ -234,8 +234,7 @@ class JacobianSystem:
         ambient = self._basis(D)
         if not ambient:
             return GradedSubspace((), {})
-        nef = is_nef(self.fan, T)
-        if nef and any(is_nef(self.fan, T - T0) for T0 in self._full_nef):
+        if any(is_nef(self.fan, T - T0) for T0 in self._full_nef):
             return GradedSubspace.full(ambient)
         tbasis = self._basis(T)
         shifted = [tuple(a + shift for a in e) for e in ambient]
@@ -247,7 +246,7 @@ class JacobianSystem:
         rows = self._j0_rows(T, order)
         # fewer products than monomials cannot span
         if len(rows) >= len(order) and self._spans_mod(rows, len(order)):
-            if nef:
+            if is_nef(self.fan, T):
                 self._full_nef.append(T)
             return GradedSubspace.full(ambient)
         return GradedSubspace(ambient, linalg.echelon(rows, len(order) - len(shifted)))
@@ -343,11 +342,9 @@ class JacobianSystem:
 
     def multiplication_matrix(self, eta, D_from, D_to):
         """Matrix of multiplication by eta between quotient coset bases."""
-        if not eta.is_zero():
-            ec = eta.homogeneous_class()
-            want = pic_class(self.fan, D_to)
-            if ec + pic_class(self.fan, D_from) != want:
-                raise InputError("class(eta) + class(source) != class(target)")
+        want = pic_class(self.fan, D_to - D_from)
+        if not eta.is_zero() and eta.homogeneous_class() != want:
+            raise InputError("class(eta) + class(source) != class(target)")
         fcosets = self.j1_piece(D_from).coset_monomials()
         tpiece = self.j1_piece(D_to)
         tsel = [tpiece.columns[e] for e in tpiece.coset_monomials()]

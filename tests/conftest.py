@@ -156,8 +156,7 @@ def pairing_matrix(sys_, Da, Db):
     """
     fan = sys_.fan
     K = canonical_divisor(fan)
-    want = 3 * pic_class(fan, sys_.beta_divisor) + 2 * pic_class(fan, K)
-    if pic_class(fan, Da) + pic_class(fan, Db) != want:
+    if pic_class(fan, Da + Db) != pic_class(fan, 3 * sys_.beta_divisor + 2 * K):
         raise InputError("classes do not add up to 3*beta + 2*K")
     top = Da + Db
     if sys_.r1_dim(top) != 1:
@@ -214,6 +213,59 @@ def cartier_is_ample(fan, D, strict=True):
             if ms[0] * u[0] + ms[1] * u[1] < -D.coeffs[k] + strict:
                 return False
     return True
+
+
+def reference_angle_cmp(u, v):
+    """Counterclockwise comparison from the positive x-axis by half planes
+    and determinants: a reference for the library's ray sort key."""
+    def half(w):
+        # 0 on the upper half plane including the positive x-axis, 1 below
+        return 0 if (w[1] > 0 or (w[1] == 0 and w[0] > 0)) else 1
+    hu, hv = half(u), half(v)
+    if hu != hv:
+        return -1 if hu < hv else 1
+    d = u[0] * v[1] - u[1] * v[0]
+    return -1 if d > 0 else (1 if d < 0 else 0)
+
+
+def reference_intersect(fan, D, E):
+    """D.E = sum_i d_i (s_i e_i + e_{i-1} + e_{i+1}), summed over D's rays."""
+    n = fan.n
+    s = fan.self_intersections()
+    e = E.coeffs
+    return sum(d * (s[i] * e[i] + e[i - 1] + e[(i + 1) % n])
+               for i, d in enumerate(D.coeffs))
+
+
+def random_gl2z(rng, steps):
+    """A random integer matrix of determinant +1 or -1, as a product of
+    elementary shears, sign flips and the coordinate swap."""
+    gens = (((1, 1), (0, 1)), ((1, -1), (0, 1)), ((1, 0), (1, 1)),
+            ((1, 0), (-1, 1)), ((-1, 0), (0, 1)), ((0, 1), (1, 0)))
+    m = ((1, 0), (0, 1))
+    for _ in range(steps):
+        g = rng.choice(gens)
+        m = tuple(tuple(sum(g[i][k] * m[k][j] for k in range(2)) for j in range(2))
+                  for i in range(2))
+    return m
+
+
+def random_labels(rng, n):
+    """n distinct variable names in random order, such as 'y3' or '_0'."""
+    names = [rng.choice(("a", "y", "Z", "_", "x_", "u1_")) + str(i) for i in range(n)]
+    rng.shuffle(names)
+    return names
+
+
+def moved_fan(rng, fan, m):
+    """(other, rename): fan with its rays mapped by the integer matrix m, its
+    labels renamed at random (rename maps old to new), and the pairs of ray
+    and label given in a shuffled order."""
+    rename = dict(zip(fan.labels, random_labels(rng, fan.n)))
+    moved = [((m[0][0] * x + m[0][1] * y, m[1][0] * x + m[1][1] * y), rename[lab])
+             for (x, y), lab in zip(fan.rays, fan.labels)]
+    rng.shuffle(moved)
+    return Fan([u for u, _ in moved], labels=[lab for _, lab in moved]), rename
 
 
 def random_smooth_fan(rng, blowups):

@@ -566,6 +566,15 @@ def test_fan_file_roundtrip(tmp_path, dp7_fan):
     assert "K^2 = 7" in out
 
 
+def test_fan_file_label_outside_the_grammar_is_refused(tmp_path):
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps({"rays": [[1, 0], [0, 1], [-1, -1]],
+                                "labels": ["x 1", "x2", "x3"]}))
+    code, out, err = run_cli(["describe-surface", "--fan-file", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: label 'x 1' is not a variable name")
+
+
 def test_fan_file_criterion(tmp_path, dp7_fan):
     beta = -2 * canonical_divisor(dp7_fan)
     f = dense_section(dp7_fan, beta)

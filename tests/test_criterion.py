@@ -1,16 +1,25 @@
+import random
+import re
+
 import pytest
 
-from toricjac.cox import poly_from_text
+from toricjac.cox import CoxPolynomial, monomial_basis, poly_from_text
 from toricjac.criterion import (DEFAULT_SEED, evaluate,
                                 find_rank_g_deformation, quick_criterion,
                                 trigonal_family_table, trigonal_fixture,
                                 trigonal_section)
-from toricjac.divisors import canonical_divisor, divisor_from_labels, intersect
+from toricjac.divisors import (TorusDivisor, canonical_divisor, divisor_from_labels,
+                               h0, intersect, is_ample, is_nef)
 from toricjac.errors import InputError
 from toricjac.fan import build_hirzebruch
+from toricjac.jacobian import JacobianSystem
 from toricjac import linalg
 
-from conftest import QUINTIC_55, dense_section, lambda_section
+from conftest import (QUINTIC_55, dense_section, lambda_section, moved_fan,
+                      random_gl2z, random_smooth_fan)
+
+REPORT_FIELDS = ("genus", "dims", "preconditions", "beta_dot_K", "bound_value",
+                 "verdict", "failed_preconditions", "nondegeneracy")
 
 
 def test_evaluate_trigonal_d5(family_reports):
@@ -185,3 +194,52 @@ def test_report_dict_roundtrips_to_json(family_reports):
     assert json.loads(json.dumps(d)) == d
     assert d["nondegeneracy"] == "nondegenerate"
     assert d["failed_preconditions"] == []
+
+
+def test_verdicts_under_gl2z_and_relabelling():
+    # Sections on random fans carried to a moved fan: dense ones at small
+    # ample classes keep their report and r1, and degenerate squares g^2
+    # stay degenerate.  With the rays unmoved the stored order is the same,
+    # so a witness changes only its labels.
+    rng = random.Random(41)
+    verdicts, squares = [], 0
+    while len(verdicts) < 20 or squares < 20:
+        fan = random_smooth_fan(rng, rng.randint(0, 2))
+        D = TorusDivisor(tuple(rng.randint(0, 2) for _ in range(fan.n)))
+        if not is_nef(fan, D) or not 2 <= h0(fan, D) <= 30:
+            continue
+        unmoved = rng.random() < 0.5
+        m = ((1, 0), (0, 1)) if unmoved else random_gl2z(rng, rng.randint(1, 5))
+        other, rename = moved_fan(rng, fan, m)
+        old = {new: lab for lab, new in rename.items()}
+        carried = [fan.position(old[lab]) for lab in other.labels]
+
+        def systems(terms):
+            f = CoxPolynomial(fan, terms)
+            f2 = CoxPolynomial(other, {tuple(e[i] for i in carried): c
+                                       for e, c in terms.items()})
+            return JacobianSystem(fan, f), JacobianSystem(other, f2)
+
+        g = {e: rng.randint(1, 9) for e in monomial_basis(fan, D)}
+        if is_ample(fan, D):
+            pair = systems(g)
+            reports = [evaluate(s.fan, s.beta_divisor, s.f).to_dict() for s in pair]
+            assert ({k: reports[0][k] for k in REPORT_FIELDS}
+                    == {k: reports[1][k] for k in REPORT_FIELDS})
+            for k in (1, 2):
+                assert len({s.r1_dim(k * s.beta_divisor + canonical_divisor(s.fan))
+                            for s in pair}) == 1
+            verdicts.append(reports[0]["verdict"])
+        if h0(fan, D) <= 6:
+            square = {}
+            for a, ca in g.items():
+                for b, cb in g.items():
+                    e = tuple(x + y for x, y in zip(a, b))
+                    square[e] = square.get(e, 0) + ca * cb
+            first, second = (s.nondegenerate_decide() for s in systems(square))
+            assert first.status == second.status == "degenerate"
+            if unmoved:
+                assert second.witness == re.sub(r"\w+(?=[,)])", lambda w: rename[w[0]],
+                                                first.witness)
+            squares += 1
+    assert {"certified", "precondition_failed"} <= set(verdicts), verdicts

@@ -1,12 +1,16 @@
 import random
+from functools import cmp_to_key
 
 import pytest
 
+from toricjac.divisors import (canonical_divisor, divisor_from_labels, genus, h0,
+                               intersect, is_ample, is_nef)
 from toricjac.errors import InputError
-from toricjac.fan import (Fan, build_hirzebruch, build_p2, builtin_surface,
-                          fan_from_json, validate)
+from toricjac.fan import (Fan, _sorted_order, build_hirzebruch, build_p2,
+                          builtin_surface, fan_from_json, validate)
 
-from conftest import DP7_RAYS
+from conftest import (DP7_RAYS, moved_fan, random_gl2z, random_smooth_fan,
+                      reference_angle_cmp)
 
 
 def test_hirzebruch_normalization_order_and_labels():
@@ -62,6 +66,14 @@ def test_fan_constructor_rejects_bad_input():
         Fan([(1, 0), (0, 1), (-1, -2)])
     with pytest.raises(InputError):
         Fan([(1, 0), (0, 1), (-1, -1)], labels=["a", "b"])
+
+
+def test_labels_must_be_variable_names():
+    rays = [(1, 0), (0, 1), (-1, -1)]
+    for bad in ("a b", "1", "x^2", "x*y", "", "x1\n", "-x"):
+        with pytest.raises(InputError, match="not a variable name"):
+            Fan(rays, labels=["u", bad, "w"])
+    assert Fan(rays, labels=["_", "y_2", "Z9"]).labels == ("_", "y_2", "Z9")
 
 
 def test_custom_labels_follow_input_rays():
@@ -141,3 +153,42 @@ def test_random_rotations_normalize_to_same_fan():
         fan = Fan(rotated)
         assert fan.rays == base.rays
         assert fan.basis_id == base.basis_id
+
+
+def test_ray_order_matches_reference_comparator():
+    # parallel and repeated rays included: both sorts are stable on ties
+    rng = random.Random(17)
+    points = [(x, y) for x in range(-6, 7) for y in range(-6, 7) if (x, y) != (0, 0)]
+    for _ in range(100_000):
+        rays = rng.sample(points, rng.randint(2, 7))
+        rays.append(rng.choice(rays))
+        want = sorted(range(len(rays)), key=cmp_to_key(
+            lambda i, j: reference_angle_cmp(rays[i], rays[j])))
+        assert _sorted_order(rays) == want, rays
+
+
+def test_invariants_under_gl2z_and_relabelling():
+    rng = random.Random(23)
+    for _ in range(200):
+        fan = random_smooth_fan(rng, rng.randint(0, 4))
+        m = random_gl2z(rng, rng.randint(1, 5))
+        det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+        other, rename = moved_fan(rng, fan, m)
+        # the stored order is the original up to rotation, reversed when det = -1
+        order = [rename[lab] for lab in fan.labels][::det]
+        k = order.index(other.labels[0])
+        assert list(other.labels) == order[k:] + order[:k]
+        assert ({rename[lab]: s for lab, s in zip(fan.labels, fan.self_intersections())}
+                == dict(zip(other.labels, other.self_intersections())))
+        K, K2 = canonical_divisor(fan), canonical_divisor(other)
+        assert intersect(fan, K, K) == intersect(other, K2, K2) == 12 - fan.n
+        for _ in range(4):
+            pair = []
+            for _ in range(2):
+                coeffs = {lab: rng.randint(-2, 4) for lab in fan.labels}
+                pair.append((divisor_from_labels(fan, coeffs), divisor_from_labels(
+                    other, {rename[lab]: c for lab, c in coeffs.items()})))
+            (D, D2), (E, E2) = pair
+            for invariant in (h0, genus, is_ample, is_nef):
+                assert invariant(fan, D) == invariant(other, D2), invariant
+            assert intersect(fan, D, E) == intersect(other, D2, E2)
