@@ -3,13 +3,25 @@
 It decides whether a chart ideal is the unit ideal, and returns no
 Groebner basis: the loop stops at the first constant.  Callers give
 polynomials as dicts from exponent pairs (i, j) to coefficients.  Inside
-the module the monomial x^i y^j is stored as (i + j, i), so plain tuple
-order is graded lex with x > y and max(f) is the lead monomial of f.
+the module the monomial x^i y^j is the single integer (i + j) * 2**32 + i,
+so integer order is graded lex with x > y, max(f) is the lead monomial
+of f, multiplying by a monomial adds its code, and divmod by 2**32 gives
+back the degree and the x exponent.  Exponents stay below 2**32.
 
 Every function takes the coefficient arithmetic as a parameter p: with
 p None, integers kept content-free with a positive lead; with a prime p,
 residues mod p with monic leads.  One pair loop serves both, with both
 classical pair criteria and a heap of pending pairs, smallest lcm first.
+Each basis element's lead and the lead's exponents are computed once,
+when it joins the basis.
+
+A remainder is reduced only until its lead is divisible by no basis
+lead; its tail is left as it is.  Buchberger's criterion asks only that
+every S-polynomial have a standard representation, and reducing it to
+zero this way gives one.  A nonzero remainder joins the basis with a
+lead that no earlier lead divides, so the loop ends (Dickson's lemma),
+and a constant appears exactly when the ideal is the unit ideal
+(Becker-Weispfenning, Groebner Bases, 1993, ch. 5).
 
 The lemma that makes a modular answer exact: let integer polynomials
 h_k cut out a closed subscheme Z of a scheme X proper over Spec Z.  The
@@ -26,14 +38,20 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, lcm
 
+_D = 1 << 32  # the code of x^i y^j is (i + j) * _D + i
 
-def _divides(a, b):
-    return a[1] <= b[1] and a[0] - a[1] <= b[0] - b[1]
+
+def _lead(m):
+    """(m, x exponent, y exponent) of the monomial code m."""
+    d, x = divmod(m, _D)
+    return m, x, d - x
 
 
 def _lcm_mono(a, b):
-    i = max(a[1], b[1])
-    return (i + max(a[0] - a[1], b[0] - b[1]), i)
+    da, xa = divmod(a, _D)
+    db, xb = divmod(b, _D)
+    x = max(xa, xb)
+    return (x + max(da - xa, db - xb)) * _D + x
 
 
 def _normalize(f, p):
@@ -63,82 +81,92 @@ def to_int_poly(terms, p=None):
     monic.  Zero terms are dropped.
     """
     if p:
-        out = {(i + j, i): c % p for (i, j), c in terms.items() if c % p}
+        out = {(i + j) * _D + i: c % p for (i, j), c in terms.items() if c % p}
     else:
         denom = lcm(*(Fraction(c).denominator for c in terms.values()))
-        out = {(i + j, i): int(Fraction(c) * denom)
+        out = {(i + j) * _D + i: int(Fraction(c) * denom)
                for (i, j), c in terms.items() if c}
     return _normalize(out, p)
 
 
-def reduce_poly(f, gens, p=None):
-    """Normal form of f modulo gens, up to a unit factor.
+def reduce_poly(f, gens, p=None, leads=None):
+    """f reduced modulo gens until its lead is divisible by no lead of gens.
 
-    Over the integers this is pseudo-reduction: when a lead term is
-    cancelled both the work polynomial and the accumulated remainder are
-    scaled by the same multiplier, then the pair is stripped of common
-    content.  The pair stays a positive multiple of the one reduction over
-    the rationals gives, so how often content is stripped does not change
-    the result; after a multiplier of 1 it is not looked for.  Mod p the
-    gens are monic, so a lead term is cancelled without scaling.
+    The result is a unit multiple of f minus a combination of gens,
+    normalized as the inputs are.  When gens is a Groebner basis it is
+    empty exactly when f lies in their ideal.  leads holds each
+    generator's _lead, as is_unit_ideal stores them; without it they are
+    computed here.  Over the integers this is pseudo-reduction: before a
+    lead term is cancelled the polynomial is scaled by a positive
+    multiplier, then stripped of its content, so it stays a positive
+    multiple of what reduction over the rationals gives.  Mod p the gens
+    are monic, so a lead term is cancelled without scaling.
     """
-    # each reducer with its lead monomial and the lead's x and y exponents
-    leads = [(g, gm, gm[1], gm[0] - gm[1]) for g in gens for gm in (max(g),)]
-    rem = {}
+    if leads is None:
+        leads = [_lead(max(g)) for g in gens]
+    reducers = list(zip(gens, leads))
     f = dict(f)
     while f:
         lm = max(f)
-        lc = f[lm]
-        x, y = lm[1], lm[0] - lm[1]
-        for g, gm, gx, gy in leads:
+        d, x = divmod(lm, _D)
+        y = d - x
+        for g, (gm, gx, gy) in reducers:
             if gx <= x and gy <= y:
                 break
         else:
-            rem[lm] = f.pop(lm)
+            return _normalize(f, p)
+        lc = f[lm]
+        shift = lm - gm
+        if p:
+            for m, c in g.items():
+                m += shift
+                s = (f.get(m, 0) - lc * c) % p
+                if s:
+                    f[m] = s
+                else:
+                    del f[m]
             continue
-        a, b = 1, lc
-        if not p:
-            l = lcm(lc, g[gm])
-            a = l // abs(lc)
-            b = l // g[gm] if lc > 0 else -(l // g[gm])  # a * lc == b * g[gm]
-            if a != 1:
-                f = {m: a * c for m, c in f.items()}
-                rem = {m: a * c for m, c in rem.items()}
-        dd, di = lm[0] - gm[0], lm[1] - gm[1]
+        l = lcm(lc, g[gm])
+        a = l // abs(lc)
+        b = l // g[gm] if lc > 0 else -(l // g[gm])  # a * lc == b * g[gm]
+        if a != 1:
+            f = {m: a * c for m, c in f.items()}
         for m, c in g.items():
-            m = (m[0] + dd, m[1] + di)
+            m += shift
             s = f.get(m, 0) - b * c
-            if p:
-                s %= p
             if s:
                 f[m] = s
             else:
                 del f[m]
         if a != 1:
             cont = 0
-            for c in (*f.values(), *rem.values()):
+            for c in f.values():
                 cont = gcd(cont, c)
                 if cont == 1:
                     break
             if cont > 1:
                 f = {m: c // cont for m, c in f.items()}
-                rem = {m: c // cont for m, c in rem.items()}
-    return _normalize(rem, p)
+    return {}
 
 
 def s_polynomial(f, g, p=None):
+    """The S-polynomial of f and g, content-free over the integers.
+
+    Mod p the leads are monic and the result is left as it comes:
+    reduce_poly makes its remainder monic.
+    """
     fm, gm = max(f), max(g)
     top = _lcm_mono(fm, gm)
     if p:
-        a, b = g[gm], f[fm]
+        a = b = 1
     else:
         l = lcm(f[fm], g[gm])
         a, b = l // f[fm], l // g[gm]
-    df, dif = top[0] - fm[0], top[1] - fm[1]
-    s = {(m[0] + df, m[1] + dif): a * c % p if p else a * c for m, c in f.items()}
-    dg, dig = top[0] - gm[0], top[1] - gm[1]
+    df = top - fm
+    s = {m + df: a * c for m, c in f.items()}
+    dg = top - gm
     for m, c in g.items():
-        m = (m[0] + dg, m[1] + dig)
+        m += dg
         v = s.get(m, 0) - b * c
         if p:
             v %= p
@@ -146,7 +174,7 @@ def s_polynomial(f, g, p=None):
             s[m] = v
         else:
             del s[m]
-    return _normalize(s, p)
+    return s if p else _normalize(s, p)
 
 
 def is_unit_ideal(polys, p=None):
@@ -160,50 +188,47 @@ def is_unit_ideal(polys, p=None):
     An empty pair queue means it is not.
     """
     G = []
-    for f in polys:
-        f = to_int_poly(f, p)
-        if f:
-            if max(f) == (0, 0):
-                return True
-            G.append(f)
-    lead = [max(g) for g in G]
+    leads = []
     pending = set()
     queue = []
 
-    def add_pairs(i):
-        for j in range(i):
+    def add(g):
+        lead = _lead(max(g))
+        _, x, y = lead
+        i = len(G)
+        for j, (_, xj, yj) in enumerate(leads):
+            lx = max(x, xj)
+            top = (lx + max(y, yj)) * _D + lx
             pending.add((i, j))
-            heappush(queue, (_lcm_mono(lead[i], lead[j]), (i, j)))
+            heappush(queue, (top, i, j))
+        G.append(g)
+        leads.append(lead)
 
-    for i in range(len(G)):
-        add_pairs(i)
+    for f in polys:
+        f = to_int_poly(f, p)
+        if f:
+            if max(f) == 0:
+                return True
+            add(f)
     while queue:
-        top, (i, j) = heappop(queue)
+        top, i, j = heappop(queue)
         pending.discard((i, j))
-        li, lj = lead[i], lead[j]
         # product criterion: coprime lead monomials give a trivial pair
-        if top == (li[0] + lj[0], li[1] + lj[1]):
+        if top == leads[i][0] + leads[j][0]:
             continue
         # chain criterion: a third element dividing the lcm whose pairs with
         # both i and j were already treated makes this pair redundant
-        skip = False
-        for k in range(len(G)):
-            if k in (i, j):
-                continue
-            if _divides(lead[k], top):
-                pik = (max(i, k), min(i, k))
-                pjk = (max(j, k), min(j, k))
-                if pik not in pending and pjk not in pending:
-                    skip = True
-                    break
-        if skip:
-            continue
-        r = reduce_poly(s_polynomial(G[i], G[j], p), G, p)
-        if not r:
-            continue
-        G.append(r)
-        lead.append(max(r))
-        if lead[-1] == (0, 0):
-            return True
-        add_pairs(len(G) - 1)
+        d, x = divmod(top, _D)
+        y = d - x
+        for k, (_, kx, ky) in enumerate(leads):
+            if (kx <= x and ky <= y and k != i and k != j
+                    and (max(i, k), min(i, k)) not in pending
+                    and (max(j, k), min(j, k)) not in pending):
+                break
+        else:
+            r = reduce_poly(s_polynomial(G[i], G[j], p), G, p, leads)
+            if r:
+                if max(r) == 0:
+                    return True
+                add(r)
     return False
