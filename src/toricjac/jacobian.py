@@ -44,7 +44,7 @@ from . import linalg
 # The prime of the modular chart decision and of the full-rank test.  Any
 # prime gives the same verdicts and pieces; a small one only sends more
 # work to the exact routes.
-P = 2**31 - 1
+P = linalg.P
 
 
 def check_k_max(fan, k_max):

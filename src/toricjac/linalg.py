@@ -1,14 +1,24 @@
 """Exact rational linear algebra.
 
-echelon, the one elimination loop, works on sparse fraction-free rows
-({column: int}, divided by their content).  rref is its dense Fraction
-view; reduce_vector reduces modulo its basis with one denominator.
-spans_mod answers only the one question a residue can settle exactly:
-whether integer rows have full column rank.
+echelon, the one elimination engine, works on sparse fraction-free rows
+({column: int}, divided by their content) in two passes: a forward pass
+to echelon form, then one back-substitution from the last pivot to the
+first.  The back-substitution clears each row against rows that are
+already reduced, and a reduced row is zero at every other pivot, so it
+holds at most one entry per non-pivot column besides its own pivot: the
+rows stay as sparse as the piece's corank allows however dense the input.
+rref is echelon's dense Fraction view; reduce_vector reduces modulo its
+basis with one denominator.  spans_mod answers only the one question a
+residue can settle exactly: whether integer rows have full column rank.
+rank asks it first and eliminates exactly only when it fails.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
+
+# The prime of every full-rank test mod p.  Any prime gives the same
+# answers; a small one only sends more work to the exact routes.
+P = 2**31 - 1
 
 
 def _integral(cells):
@@ -19,11 +29,11 @@ def _integral(cells):
 
 
 def _eliminate(v, b, p):
-    """A multiple of v minus a multiple of b, with a zero in column p."""
+    """A multiple of v minus a multiple of b, with a zero in column p, as a new row."""
     a, m = b[p], v[p]
     g = gcd(a, m)
     a, m = a // g, m // g
-    out = {c: a * x for c, x in v.items()}
+    out = dict(v) if a == 1 else {c: a * x for c, x in v.items()}
     for c, x in b.items():
         y = out.get(c, 0) - m * x
         if y:
@@ -45,32 +55,36 @@ def echelon(rows, start):
     """RREF of the row space's intersection with the columns >= start.
 
     Returns {pivot: primitive integer row, positive at its pivot}, columns
-    re-indexed from start.  A row is reduced by the head rows (pivots
-    before start, kept in forward echelon form only) until its lead
-    reaches start or is a new head pivot; the head rows are then dropped.
-    The output depends only on the row space, so the rows are taken
-    bottom-up, the latest lead first: a new basis lead then mostly lies
-    left of every pivot, and the back-reduction has little to do.
+    re-indexed from start.  Two passes:
+
+    - forward: each row is eliminated at its lead while that lead is
+      already a pivot, then stored primitive under its new lead.  The rows
+      with a lead >= start span the intersection; the others are dropped.
+      The rows are taken bottom-up, the latest lead first, so a new lead
+      mostly lies left of every pivot and needs no elimination at all.
+    - back-substitution: the pivots >= start are visited from the latest
+      to the earliest, and each row is cleared at the later pivots against
+      the rows already reduced, then made primitive once.  A reduced row
+      holds entries only at its pivot and at non-pivot columns, so
+      clearing one pivot brings in no other pivot: a row needs one
+      elimination per later pivot it holds, each against a short row.
+
+    The output depends only on the row space.
     """
-    head, basis = {}, {}
+    pivots = {}
     for v in sorted(rows, key=lambda v: -min(v, default=start)):
-        lead = min(v, default=start)
-        while lead < start and lead in head:
-            v = _eliminate(v, head[lead], lead)
-            lead = min(v, default=start)
-        if lead < start:
-            head[lead] = _primitive(v)
-            continue
-        for p in [c for c in v if c in basis]:
-            v = _eliminate(v, basis[p], p)
-        if not v:
-            continue
-        v = _primitive(v)
-        lead = min(v)
-        for p, b in basis.items():
-            if lead in b:
-                basis[p] = _primitive(_eliminate(b, v, lead))
-        basis[lead] = v
+        lead = min(v, default=None)
+        while lead in pivots:
+            v = _eliminate(v, pivots[lead], lead)
+            lead = min(v, default=None)
+        if lead is not None:
+            pivots[lead] = _primitive(v)
+    basis = {}
+    for p in sorted((p for p in pivots if p >= start), reverse=True):
+        v = pivots[p]
+        for c in [c for c in v if c in basis]:
+            v = _eliminate(v, basis[c], c)
+        basis[p] = _primitive(v)
     return {p - start: {c - start: x for c, x in b.items()} for p, b in basis.items()}
 
 
@@ -117,7 +131,12 @@ def dense_row(b, p, ncols):
 
 
 def rank(rows, ncols):
-    return len(rref(rows, ncols)[0])
+    """Rank of dense rational rows in ncols columns: ncols when the rows
+    span mod P, which proves it over Q, and otherwise exactly."""
+    ints = [_integral(enumerate(row))[0] for row in rows]
+    if spans_mod(ints, ncols, P):
+        return ncols
+    return len(echelon(ints, 0))
 
 
 def reduce_vector(basis, vec):

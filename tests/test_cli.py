@@ -1,6 +1,8 @@
 import argparse
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -13,6 +15,7 @@ from toricjac import criterion, divisors, jacobian, linalg
 from toricjac.divisors import canonical_divisor, pic_class
 from toricjac.jacobian import JacobianSystem
 
+import conftest
 from conftest import (QUINTIC_55, TRIGONAL_D5, dense_section, lambda_section,
                       run_cli)
 
@@ -524,6 +527,21 @@ def test_find_eta_json():
     assert data["seed"] == 1729
     assert data["eta_text"] == ETA_D5
     assert len(data["matrix"]) == 5
+
+
+# sha256 of `find-eta --json` on the seeded dense p1xp1 (6,6) section, the
+# section CI checks too.  Its J1 piece at 2beta+K eliminates 147 rows to an
+# RREF with entries of about 500 bits.
+W4_6_SHA256 = "7649105abacc84194419b3a34b7c49199f8c165e91667b45b237285d86377074"
+
+
+def test_find_eta_json_on_the_dense_6_6_section_is_pinned():
+    workloads = conftest._perfbench_workloads()
+    poly = workloads.dense_section_text(0, 6, 6, random.Random("w4:1"))
+    code, out, err = run_cli(["find-eta", "--surface", "p1xp1", "--class", "6,6",
+                              "--poly", poly, "--json"])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == W4_6_SHA256
 
 
 def test_find_eta_reports_the_best_rank_when_it_finds_none(monkeypatch):

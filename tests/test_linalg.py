@@ -1,8 +1,11 @@
+import copy
 import random
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
+from toricjac import linalg
 from toricjac.cox import poly_from_text
 from toricjac.divisors import canonical_divisor, divisor_from_labels
 from toricjac.jacobian import JacobianSystem
@@ -174,6 +177,56 @@ def test_echelon_matches_dense_oracle_of_the_tail(matrix, data):
         rows = [tuple(Fraction(basis[p].get(c, 0), basis[p][p]) for c in range(width))
                 for p in pivots]
         assert (rows, pivots) == tail_oracle(mat, ncols, start)
+
+
+@PROPERTY
+@given(matrices(), st.data())
+def test_echelon_depends_only_on_the_row_space(matrix, data):
+    mat, ncols = matrix
+    start = data.draw(st.integers(0, ncols))
+    rows = integer_rows(mat)
+    expected = echelon(rows, start)
+    multiples = [{c: k * x for c, x in v.items()}
+                 for v, k in zip(rows, data.draw(st.lists(
+                     st.integers(-5, 5).filter(bool), min_size=len(rows), max_size=len(rows))))]
+    moved = multiples + data.draw(st.lists(st.sampled_from(rows), max_size=4) if rows
+                                  else st.just([]))
+    moved = data.draw(st.permutations(moved))
+    assert echelon(moved, start) == expected
+
+
+def assert_leaves_its_input(rows, start, vec):
+    before = copy.deepcopy(rows)
+    basis = echelon(rows, start)
+    assert rows == before
+    before = copy.deepcopy(basis)
+    reduce_vector(basis, vec)
+    assert basis == before
+
+
+@PROPERTY
+@given(matrices(), st.data())
+def test_echelon_and_reduce_vector_never_mutate_their_input(matrix, data):
+    mat, ncols = matrix
+    start = data.draw(st.integers(0, ncols))
+    vec = {k: Fraction(k + 1, 2) for k in range(ncols - start)}
+    assert_leaves_its_input(integer_rows(mat), start, vec)
+
+
+def test_elimination_with_multiplier_one_copies_the_row():
+    # the second row is eliminated against the first with multiplier 1,
+    # and the vector against each basis row with multiplier 1
+    assert_leaves_its_input([{0: 1, 1: 1}, {0: 1, 2: 1}], 0, {0: 1, 1: 1, 2: 1})
+
+
+@PROPERTY
+@given(matrices(), st.sampled_from((2, 3)))
+def test_rank_is_exact_when_the_test_mod_p_fails(matrix, p):
+    # at these primes the test mod p often fails, so the exact
+    # elimination runs; either way the rank is the oracle's
+    mat, ncols = matrix
+    with mock.patch.object(linalg, "P", p):
+        assert rank(mat, ncols) == len(dense_rref(mat, ncols)[0])
 
 
 @PROPERTY
