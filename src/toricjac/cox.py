@@ -1,8 +1,8 @@
 """The Picard-graded Cox ring of a surface fan over exact rationals.
 
 Polynomials are sparse dicts from exponent tuples (one entry per stored
-ray) to nonzero Fractions.  Monomial bases of a graded piece come from the
-lattice points of the section polytope and are sorted lexicographically,
+ray) to nonzero Fractions.  Monomial bases are listed from the section
+polygon in the coordinates of the first cone, where they come out sorted,
 so every basis and every printed polynomial is deterministic.
 """
 
@@ -19,20 +19,21 @@ from .fan import LABEL, _label_key, _tuple
 def monomial_basis(fan, D):
     """Exponent tuples of the monomials spanning the graded piece of class(D).
 
-    Each lattice point m of the section polytope gives the exponent vector
+    Each lattice point m of the section polygon gives the exponent vector
     (<m, u_rho> + a_rho)_rho; the result depends only on the class of D.
-    Along a column x each exponent is an arithmetic progression in y with
-    step u_rho[1], so one zip of ranges (a repeat for step 0) lists it.
+    In the first cone's coordinates (divisors._columns) the rays are the
+    columns of fan.hnf_rows; along a column x each exponent steps by u_rho[1]
+    in y, so one zip of ranges (a repeat for step 0) lists it, in sorted order.
     """
     out = []
+    rays = tuple(zip(*fan.hnf_rows))
     for x, low, high in columns(fan, D):
         n = high - low + 1
-        ends = [(x * ux + low * uy + a, uy) for (ux, uy), a in zip(fan.rays, D.coeffs)]
+        ends = [(x * ux + low * uy + a, uy) for (ux, uy), a in zip(rays, D.coeffs)]
         if any(min(e, e + (n - 1) * step) < 0 for e, step in ends):
             raise InternalError("polytope point gave a negative exponent")
         out.extend(zip(*(range(e, e + n * step, step) if step else repeat(e, n)
                          for e, step in ends)))
-    out.sort()
     return tuple(out)
 
 

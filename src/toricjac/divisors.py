@@ -132,12 +132,14 @@ def is_nef(fan, D):
 
 
 def _columns(fan, D):
-    """(x, low, high) per nonempty column x of the section polytope, whose
-    points there are the (x, y) with low <= y <= high.  The x range comes
-    from the vertices; rays with u_y > 0 bound y below and rays with
-    u_y < 0 above (a complete fan has both)."""
+    """Yield (x, low, high) per nonempty column x of the section polygon,
+    whose points there are the (x, y) with low <= y <= high, in the first
+    cone's coordinates x = <m, u_0>, y = <m, u_1>: the rays are the columns
+    of fan.hnf_rows, and the points come in lexicographic exponent order.
+    The x range comes from the vertices; rays with u_y > 0 bound y below
+    and rays with u_y < 0 above (a complete fan has both)."""
     _check_len(fan, D)
-    ineqs = tuple(zip(fan.rays, D.coeffs))
+    ineqs = tuple(zip(zip(*fan.hnf_rows), D.coeffs))
     first, last = [], []
     for (ui, ai), (uj, aj) in combinations(ineqs, 2):
         d = _det(ui, uj)
@@ -149,28 +151,30 @@ def _columns(fan, D):
             if all(u[0] * mx + u[1] * my + a * d >= 0 for u, a in ineqs):
                 first.append(-(-mx // d))
                 last.append(mx // d)
-    cols = []
     for x in range(min(first, default=0), max(last, default=-1) + 1):
         low = max(-((u[0] * x + a) // u[1]) for u, a in ineqs if u[1] > 0)
         high = min((u[0] * x + a) // -u[1] for u, a in ineqs if u[1] < 0)
         if low <= high:
-            cols.append((x, low, high))
-    return cols
+            yield x, low, high
 
 
 def columns(fan, D):
-    """_columns(fan, D), refused when its columns hold over MAX_BASIS_DIM points."""
-    cols = _columns(fan, D)
-    size = sum(high - low + 1 for _, low, high in cols)
-    if size > MAX_BASIS_DIM:
-        raise InputError(f"the piece of class {pic_class(fan, D).vec} has {size} "
-                         f"monomials, above {MAX_BASIS_DIM}")
+    """_columns(fan, D) as a list, refused once its points pass MAX_BASIS_DIM."""
+    cols, size = [], 0
+    for x, low, high in _columns(fan, D):
+        size += high - low + 1
+        if size > MAX_BASIS_DIM:
+            raise InputError(f"the piece of class {pic_class(fan, D).vec} has more than "
+                             f"{MAX_BASIS_DIM} monomials")
+        cols.append((x, low, high))
     return cols
 
 
 def polytope(fan, D):
-    """Sorted lattice points of the section polytope {m : <m, u_rho> >= -a_rho}."""
-    return tuple((x, y) for x, low, high in columns(fan, D) for y in range(low, high + 1))
+    """Sorted lattice points of the section polygon {m : <m, u_rho> >= -a_rho}."""
+    (a, b), (c, d) = fan.rays[:2]  # the dual basis maps (x, y) back to m
+    return tuple(sorted((x * d - y * b, y * a - x * c)
+                        for x, low, high in columns(fan, D) for y in range(low, high + 1)))
 
 
 def h0(fan, D):

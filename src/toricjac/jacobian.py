@@ -20,7 +20,7 @@ of S_D.  The builder tries, in this order:
   polygon of the sum is the Minkowski sum of the polygons
   (Cox-Little-Schenck, section 6.1), whose lattice points are the sums of
   theirs (Haase-Nill-Paffenholz-Santos, Electron. J. Combin. 15 (2008);
-  Fakhruddin, arXiv:math/0208178);
+  Fakhruddin, arXiv:math/0208178); the certificate reads it before listing;
 - a rank of h0(T) mod P of the products, written once over the monomials
   of S_T with those outside C first.  It is a nonzero h0(T)-minor, so the
   rank over Q is h0(T) too;
@@ -226,30 +226,33 @@ class JacobianSystem:
         """Whether the rows have rank n mod P: True proves they span."""
         return linalg.spans_mod(rows, n, P)
 
+    def _closed(self, T):
+        """Whether closure proves J0 all of S_T (module docstring)."""
+        return any(is_nef(self.fan, T - T0) for T0 in self._full_nef)
+
     def _piece(self, D, T, shift):
         """J0 at class(T) in the coordinates of S_D, through multiplication
         by prod x_rho^shift: closure, the rank test, or one elimination
-        (module docstring).  Closure starts from the nef classes the rank
-        test proved full."""
+        (module docstring).  A piece of shift 0 is written over its own
+        monomials."""
         ambient = self._basis(D)
         if not ambient:
             return GradedSubspace((), {})
-        if any(is_nef(self.fan, T - T0) for T0 in self._full_nef):
+        if self._closed(T):
             return GradedSubspace.full(ambient)
-        tbasis = self._basis(T)
-        shifted = [tuple(a + shift for a in e) for e in ambient]
-        inside = set(shifted)
-        order = [e for e in tbasis if e not in inside]
-        if len(order) + len(shifted) != len(tbasis):
-            raise InternalError("shifted monomial missing from the target piece")
-        order += shifted
+        order = ambient
+        if shift:
+            order = [e for e in self._basis(T) if min(e) < shift]  # outside C
+            order += [tuple(a + shift for a in e) for e in ambient]
+            if len(order) != self.section_dim(T):
+                raise InternalError("shifted monomial missing from the target piece")
         rows = self._j0_rows(T, order)
         # fewer products than monomials cannot span
         if len(rows) >= len(order) and self._spans_mod(rows, len(order)):
             if is_nef(self.fan, T):
                 self._full_nef.append(T)
             return GradedSubspace.full(ambient)
-        return GradedSubspace(ambient, linalg.echelon(rows, len(order) - len(shifted)))
+        return GradedSubspace(ambient, linalg.echelon(rows, len(order) - len(ambient)))
 
     def j0_piece(self, D):
         """Graded piece of the Euler-term ideal at class(D)."""
@@ -335,8 +338,11 @@ class JacobianSystem:
         for k in range(1, k_max + 1):
             products = {tuple(a + b for a, b in zip(p, g))
                         for p in products for g in gens}
-            if not any(self.j0_piece(TorusDivisor(exps)).residual({exps: 1})
-                       for exps in sorted(products)):
+            # once per class: True when closure proves J0 full there, else the piece
+            tests = ((e, self._cached("closure or j0", TorusDivisor(e),
+                                      lambda D: self._closed(D) or self.j0_piece(D)))
+                     for e in sorted(products))
+            if all(t is True or not t.residual({e: 1}) for e, t in tests):
                 return NondegeneracyVerdict("certified", k=k)
         return NondegeneracyVerdict("undetermined", k=k_max)
 

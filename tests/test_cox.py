@@ -182,8 +182,9 @@ def test_monomial_basis_refuses_an_oversized_piece(monkeypatch):
     assert h0(fan, D) == 4_004_001
     with pytest.raises(InputError) as refused:
         polytope(fan, D)
-    monkeypatch.setattr(cox, "repeat", must_not_run)  # p1xp1 has rays with u_y = 0
-    with pytest.raises(InputError, match="has 4004001 monomials, above 100000") as error:
+    monkeypatch.setattr(cox, "repeat", must_not_run)  # ray 0 is (1, 0) in the first cone
+    with pytest.raises(InputError, match=r"^the piece of class \(2000, 2000\) has more "
+                                          r"than 100000 monomials$") as error:
         monomial_basis(fan, D)
     assert str(error.value) == str(refused.value)
 

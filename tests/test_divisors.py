@@ -13,8 +13,9 @@ from toricjac.divisors import (PicClass, TorusDivisor, canonical_divisor,
 from toricjac.errors import InputError
 from toricjac.fan import build_hirzebruch, build_p2, builtin_surface, fan_from_json
 
-from conftest import (DP7_RAYS, cartier_is_ample, euler_characteristic,
-                      principal_divisor, random_smooth_fan, reference_intersect)
+from conftest import (DP7_RAYS, cartier_is_ample, euler_characteristic, moved_fan,
+                      pointwise_monomial_basis, principal_divisor, random_gl2z,
+                      random_smooth_fan, reference_intersect)
 
 
 def test_hirzebruch_classes():
@@ -217,6 +218,30 @@ def test_polytope_matches_bounding_box_oracle():
             assert h0(fan, D) == len(want)
             sizes.add(min(len(want), 2))
     assert sizes == {0, 1, 2}  # empty, one-point and larger polytopes all occur
+
+
+def test_bases_come_out_sorted_on_random_fans():
+    # bases are listed in the coordinates of the first cone, sorted with no
+    # sort: on 200 random smooth fans, moved by a random unimodular map so
+    # that the first ray is not always (1, 0), monomial_basis equals the
+    # sorted pointwise listing and polytope the bounding-box reference,
+    # over empty, non-nef, nef and ample classes
+    kinds = set()
+    moved = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        fan = random_smooth_fan(rng, rng.randint(0, 4))
+        fan, _ = moved_fan(rng, fan, random_gl2z(rng, rng.randint(1, 6)))
+        moved += fan.rays[0] != (1, 0)
+        for _ in range(8):
+            D = TorusDivisor(tuple(rng.randint(-3, 6) for _ in range(fan.n)))
+            assert polytope(fan, D) == bounding_box_polytope(fan, D), (fan, D)
+            want = pointwise_monomial_basis(fan, D)
+            assert monomial_basis(fan, D) == want, (fan, D)
+            kinds.add("empty" if not want else "ample" if is_ample(fan, D)
+                      else "nef" if is_nef(fan, D) else "not nef")
+    assert kinds == {"empty", "not nef", "nef", "ample"}
+    assert moved >= 100, moved
 
 
 def test_h0_closed_form_small_grid():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -6,10 +7,10 @@ import pytest
 
 from toricjac.cox import CoxPolynomial, monomial_basis, poly_from_text
 from toricjac.divisors import (TorusDivisor, canonical_divisor, divisor_from_labels,
-                               is_nef)
+                               is_nef, pic_class)
 from toricjac.errors import InputError
 from toricjac.fan import Fan, builtin_surface
-from toricjac.jacobian import GradedSubspace, JacobianSystem
+from toricjac.jacobian import JacobianSystem
 from toricjac import jacobian, linalg
 
 from conftest import (H2_TRIGONAL, TRIGONAL_D5, dense_reduce, euler_terms,
@@ -366,39 +367,70 @@ def test_j1_piece_equals_rref_then_slice(battery, generic_systems):
 def exact_only(sys_):
     """A fresh system on the same section whose pieces are all eliminated
     exactly, from the products of all n Euler terms: its rank test always
-    fails, and closure starts only from a rank proof."""
-    if not hasattr(JacobianSystem, "_spans_mod"):
-        raise AttributeError("JacobianSystem has no _spans_mod rank test to disable")
+    fails, and closure never proves a piece full."""
+    for name in ("_spans_mod", "_closed"):
+        if not hasattr(JacobianSystem, name):
+            raise AttributeError(f"JacobianSystem has no {name} proof to disable")
     exact = JacobianSystem(sys_.fan, sys_.f)
     exact._spans_mod = lambda rows, n: False
+    exact._closed = lambda T: False
     exact._spanning_terms = tuple(g for g in exact._integral_terms if g)
     return exact
 
 
 @pytest.fixture
 def proofs(monkeypatch):
-    """The ambients of the pieces proved full, by closure or by the rank
-    test, while the test runs: a proved piece is GradedSubspace.full."""
+    """The full-piece proofs taken while the test runs: ("rank", n) for a
+    rank test that proves a piece of n monomials full, ("closure", class)
+    for closure at a class.  A proof in the piece builder makes the piece
+    GradedSubspace.full; a closure proof in the saturation certificate
+    answers for its class with no piece."""
     proved = []
-    full = GradedSubspace.full.__func__
+    spans_mod, closed = JacobianSystem._spans_mod, JacobianSystem._closed
 
-    def counted(cls, ambient):
-        proved.append(ambient)
-        return full(cls, ambient)
+    def ranked(self, rows, n):
+        spans = spans_mod(self, rows, n)
+        if spans:
+            proved.append(("rank", n))
+        return spans
 
-    monkeypatch.setattr(GradedSubspace, "full", classmethod(counted))
+    def closure(self, T):
+        full = closed(self, T)
+        if full:
+            proved.append(("closure", pic_class(self.fan, T).vec))
+        return full
+
+    monkeypatch.setattr(JacobianSystem, "_spans_mod", ranked)
+    monkeypatch.setattr(JacobianSystem, "_closed", closure)
     return proved
 
 
 def read_pieces(sys_, k_max, top):
     """The J0 and J1 pieces at beta, beta + K, 2beta + K, 2beta + 2K and, if
-    top, 3beta + 2K, with those that saturation_certificate(k_max) reads."""
+    top, 3beta + 2K, with those that saturation_certificate(k_max) builds."""
     beta, K = sys_.beta_divisor, canonical_divisor(sys_.fan)
     for D in [beta, beta + K, 2 * beta + K, 2 * beta + 2 * K] + [3 * beta + 2 * K] * top:
         sys_.j0_piece(D)
         sys_.j1_piece(D)
     sys_.saturation_certificate(k_max)
-    return {key: piece for key, piece in sys_._cache.items() if key[0] != "basis"}
+    return pieces_of(sys_)
+
+
+def pieces_of(sys_):
+    """The J0 and J1 pieces a system holds, by (kind, class)."""
+    return {key: piece for key, piece in sys_._cache.items() if key[0] in ("j0", "j1")}
+
+
+def assert_same_pieces(pieces, reference, name):
+    """Every piece both systems hold is the same, and each class only the
+    exact reference holds (one that closure proved without a piece) is
+    full there."""
+    assert pieces.keys() <= reference.keys(), name
+    for key, piece in reference.items():
+        if key in pieces:
+            assert pieces[key] == piece, (name, key)
+        else:
+            assert piece.dim == len(piece.ambient), (name, key)
 
 
 def test_full_piece_proofs_never_change_a_piece(battery, generic_systems, monkeypatch,
@@ -418,7 +450,7 @@ def test_full_piece_proofs_never_change_a_piece(battery, generic_systems, monkey
         for (name, sys_, k_max, top), reference in zip(systems, references):
             fresh = JacobianSystem(sys_.fan, sys_.f)
             assert len(fresh._spanning_terms) <= 3, name
-            assert read_pieces(fresh, k_max, top) == reference, (name, prime)
+            assert_same_pieces(read_pieces(fresh, k_max, top), reference, (name, prime))
         proved[prime] = len(proofs)
     # the proofs, by the rank test or by closure from one, were taken (mod 3
     # the trigonal Euler terms drop their exponent-3 terms, and no piece has
@@ -427,9 +459,9 @@ def test_full_piece_proofs_never_change_a_piece(battery, generic_systems, monkey
 
 
 def test_closure_proves_most_full_pieces(h1, monkeypatch, proofs):
-    # the certificate's pieces on trigonal d=5: the rank test proves a few
-    # small full pieces, and closure proves the larger ones from them
-    # without writing a product row
+    # the certificate's classes on trigonal d=5: the rank test proves a few
+    # small J0 pieces full, and closure proves the larger classes from them
+    # without building a piece
     sys_ = JacobianSystem(h1, poly_from_text(h1, TRIGONAL_D5))
     ranked, built = [], []
     spans_mod, j0_rows = linalg.spans_mod, JacobianSystem._j0_rows
@@ -447,13 +479,36 @@ def test_closure_proves_most_full_pieces(h1, monkeypatch, proofs):
     assert sys_.saturation_certificate(9).label == "certified(9)"
     pieces = [piece for key, piece in sys_._cache.items() if key[0] == "j0"]
     full = [piece for piece in pieces if piece.dim == len(piece.ambient)]
-    assert len(full) == len(proofs) == 15
-    closure = len(proofs) - sum(ranked)
-    assert closure >= 10, sum(ranked)
-    # every other piece writes its rows once, also when a failed rank test
+    closure = [proof for proof in proofs if proof[0] == "closure"]
+    # each full class is proved once: by the rank test, with a full piece,
+    # or by closure, with none
+    assert len(full) + len(closure) == len(proofs) == 15
+    assert len(full) == sum(ranked)
+    assert len(closure) >= 10, sum(ranked)
+    # every piece writes its rows once, also when a failed rank test
     # precedes its elimination
     assert len(ranked) > sum(ranked)
-    assert len(built) == len(pieces) - closure
+    assert len(built) == len(pieces)
+
+
+def test_closure_proved_classes_are_never_listed(h1, monkeypatch, proofs):
+    # the certificate on trigonal d=5 reads closure before it asks for a
+    # piece, so no class that closure proves is listed, and the basis cache
+    # lists every other class once
+    sys_ = JacobianSystem(h1, poly_from_text(h1, TRIGONAL_D5))
+    listed = Counter()
+    basis = jacobian.monomial_basis
+
+    def counted(fan, D):
+        listed[pic_class(fan, D).vec] += 1
+        return basis(fan, D)
+
+    monkeypatch.setattr(jacobian, "monomial_basis", counted)
+    assert sys_.saturation_certificate(9).label == "certified(9)"
+    closed = [cls for kind, cls in proofs if kind == "closure"]
+    assert len(closed) >= 10
+    assert not listed.keys() & set(closed), listed
+    assert set(listed.values()) == {1}
 
 
 def test_closure_starts_only_from_a_nef_class(proofs):
@@ -471,17 +526,18 @@ def test_closure_starts_only_from_a_nef_class(proofs):
     assert proofs == []
     full = sys_.j0_piece(T0)
     assert full.dim == len(full.ambient) == 30
-    assert proofs == [full.ambient]
+    assert proofs == [("rank", 30)]
     piece = sys_.j0_piece(T)
     assert (piece.dim, len(piece.ambient)) == (77, 80)
     assert piece == reference
+    assert proofs == [("rank", 30)]
 
 
 def test_certified_random_sections_are_nondegenerate(proofs):
     # dense anticanonical sections on random fans, and a degenerate section:
-    # the certificate reads the same pieces as a run without full-piece
-    # proofs (rank test or closure), and a certificate implies the chart
-    # decision's verdict
+    # the certificate builds the same pieces as a run without full-piece
+    # proofs (rank test or closure), apart from the classes closure proves
+    # full there, and a certificate implies the chart decision's verdict
     systems = []
     for seed in range(16):
         rng = random.Random(seed)
@@ -499,9 +555,7 @@ def test_certified_random_sections_are_nondegenerate(proofs):
         assert proofs == [], name
         verdict = sys_.saturation_certificate(6)
         assert verdict == reference, name
-        pieces = [{key: piece for key, piece in s._cache.items() if key[0] != "basis"}
-                  for s in (sys_, exact)]
-        assert pieces[0] == pieces[1], name
+        assert_same_pieces(pieces_of(sys_), pieces_of(exact), name)
         decision = sys_.nondegenerate_decide().status
         if verdict.status == "certified":
             assert decision == "nondegenerate", name
