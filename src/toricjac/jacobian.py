@@ -2,10 +2,14 @@
 
 For a homogeneous f the Euler terms are g_rho = x_rho df/dx_rho.  They
 generate J0; the criterion and the rank-g search read the quotient by
-J1 = J0 : (prod x_rho).  The Euler relations phi with phi(beta) = 0
-leave at most three of the g_rho spanning all of them, and with f's
-denominators cleared once their products m * g are sparse integer rows
-written straight from the terms of g.
+J1 = J0 : (prod x_rho).  The last cone's rays s = u_{n-2}, t = u_{n-1}
+have det(s, t) = 1, so the relations e_k - a_k e_s - b_k e_t (k < n - 2,
+a_k = det(u_k, t), b_k = det(s, u_k)) are a basis of those among the rays,
+and their Euler identities read g_k - a_k g_s - b_k g_t = c_k f with
+c_k = beta_k - a_k beta_s - b_k beta_t.  So g_s, g_t and g_j, j the latest
+k with c_k != 0, span every g_k.  With f's denominators cleared once, the
+identities are checked as integer term dicts, and the products m * g are
+sparse integer rows written straight from the terms of g.
 
 Both ideals are read by one builder, JacobianSystem._piece(D, T, shift):
 J0 at class(T) in the coordinates of S_D, through multiplication by
@@ -38,6 +42,7 @@ from operator import add
 from .cox import CoxPolynomial, monomial_basis
 from .divisors import TorusDivisor, canonical_divisor, columns, is_nef, pic_class
 from .errors import InputError, InternalError
+from .fan import _det
 from .groebner import is_unit_ideal
 from . import linalg
 
@@ -157,42 +162,37 @@ class JacobianSystem:
         self.f = f
         self.beta_class = f.homogeneous_class()
         self.beta_divisor = TorusDivisor(sorted(f.terms)[0])
-        # f's denominators cleared once: term i holds e_i * c for each
-        # term c * x^e of den * f with e_i > 0, the Euler term of ray i
+        # f's denominators cleared once, den * f: term i holds e_i * c for
+        # each term c * x^e of it with e_i > 0, the Euler term of ray i
         den = lcm(*(c.denominator for c in f.terms.values()))
-        cleared = [(e, c.numerator * (den // c.denominator)) for e, c in f.terms.items()]
-        self._integral_terms = tuple(tuple((e, e[i] * c) for e, c in cleared if e[i])
+        cleared = self._integral_f = {e: c.numerator * (den // c.denominator)
+                                      for e, c in f.terms.items()}
+        self._integral_terms = tuple(tuple((e, e[i] * c) for e, c in cleared.items() if e[i])
                                      for i in range(fan.n))
         self._cache = {}
         self._full_nef = []  # nef classes whose J0 piece the rank test proved full
+        # (a_k, b_k, c_k) for k < n - 2 over the last cone's rays s, t (module docstring)
+        s, t = fan.rays[-2:]
+        beta = self.beta_divisor.coeffs
+        self._relations = []
+        for u, beta_k in zip(fan.rays[:-2], beta):
+            a, b = _det(u, t), _det(s, u)
+            self._relations.append((a, b, beta_k - a * beta[-2] - b * beta[-1]))
         self._check_euler_identities()
-        # The Euler relations phi with phi(beta) = 0, the kernel of the rays
-        # and beta, give each term at a pivot as a combination of the others:
-        # the terms off the pivots, at most three, span all of them.
-        rays_and_beta = [[u[0] for u in fan.rays], [u[1] for u in fan.rays],
-                         list(self.beta_divisor.coeffs)]
-        _, pivots = linalg.kernel(rays_and_beta, fan.n)
+        j = max((k for k, (_, _, c) in enumerate(self._relations) if c), default=None)
         self._spanning_terms = tuple(g for i, g in enumerate(self._integral_terms)
-                                     if g and i not in pivots)
+                                     if g and i in (j, fan.n - 2, fan.n - 1))
 
     def _check_euler_identities(self):
-        # For every weight vector phi in the kernel of the ray matrix, scaled
-        # to integers, sum(phi_i * term i) must equal phi(beta) * den * f,
-        # compared as whole term dicts with the zero coefficients dropped.
-        rows = [[u[0] for u in self.fan.rays], [u[1] for u in self.fan.rays]]
-        ker_rows, _ = linalg.kernel(rows, self.fan.n)
-        den = lcm(*(c.denominator for c in self.f.terms.values()))
-        for phi in ker_rows:
-            scale = lcm(*(p.denominator for p in phi))
-            phi = [p.numerator * (scale // p.denominator) for p in phi]
-            const = sum(p * a for p, a in zip(phi, self.beta_divisor.coeffs))
+        # term k - a_k term s - b_k term t = c_k * den * f, as whole term dicts
+        *terms, gs, gt = self._integral_terms
+        for g, (a, b, c) in zip(terms, self._relations):
             lhs = {}
-            for p, g in zip(phi, self._integral_terms):
-                for e, c in g:
-                    lhs[e] = lhs.get(e, 0) + p * c
-            lhs = {e: c for e, c in lhs.items() if c}
-            rhs = {e: const * den * c for e, c in self.f.terms.items() if const}
-            if lhs != rhs:
+            for p, h in ((1, g), (-a, gs), (-b, gt)):
+                for e, x in h:
+                    lhs[e] = lhs.get(e, 0) + p * x
+            if ({e: x for e, x in lhs.items() if x}
+                    != {e: c * x for e, x in self._integral_f.items() if c}):
                 raise InternalError("Euler identity failed on construction")
 
     def _cached(self, kind, D, build):
@@ -263,10 +263,6 @@ class JacobianSystem:
         class(D) - class(K) (module docstring)."""
         return self._cached("j1", D, lambda D: self._piece(
             D, D - canonical_divisor(self.fan), 1))
-
-    def r1_dim(self, D):
-        """Dimension of the graded piece of the quotient ring S/J1."""
-        return self.section_dim(D) - self.j1_piece(D).dim
 
     def nondegenerate_decide(self):
         """Exact chart-by-chart decision, made mod P when it can be.

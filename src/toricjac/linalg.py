@@ -7,10 +7,11 @@ first.  The back-substitution clears each row against rows that are
 already reduced, and a reduced row is zero at every other pivot, so it
 holds at most one entry per non-pivot column besides its own pivot: the
 rows stay as sparse as the piece's corank allows however dense the input.
-rref is echelon's dense Fraction view; reduce_vector reduces modulo its
-basis with one denominator.  spans_mod answers only the one question a
-residue can settle exactly: whether integer rows have full column rank.
-rank asks it first and eliminates exactly only when it fails.
+reduce_vector reduces modulo its basis with one denominator.  spans_mod
+answers only the one question a residue can settle exactly: whether
+integer rows have full column rank; rank asks it before it eliminates.
+No library code calls rref, echelon's dense Fraction view, or kernel:
+they are test oracles, and perfbench/spans.py wraps them by name.
 """
 
 from fractions import Fraction

@@ -50,6 +50,11 @@ def dense_section(fan, D):
     return CoxPolynomial(fan, {e: 1 for e in monomial_basis(fan, D)})
 
 
+def r1_dim(sys_, D):
+    """Dimension of the graded piece of the quotient ring S/J1 at class(D)."""
+    return sys_.section_dim(D) - sys_.j1_piece(D).dim
+
+
 def j1_dim_brute(sys_, D):
     """Brute-force dim J1_D: one membership test per ambient monomial.
 
@@ -159,7 +164,7 @@ def pairing_matrix(sys_, Da, Db):
     if pic_class(fan, Da + Db) != pic_class(fan, 3 * sys_.beta_divisor + 2 * K):
         raise InputError("classes do not add up to 3*beta + 2*K")
     top = Da + Db
-    if sys_.r1_dim(top) != 1:
+    if r1_dim(sys_, top) != 1:
         raise InputError("the top graded piece of the quotient ring is not a line")
     tpiece = sys_.j1_piece(top)
     tpos = tpiece.columns[tpiece.coset_monomials()[0]]

@@ -20,7 +20,7 @@ from toricjac.fan import build_hirzebruch
 
 import conftest
 from conftest import (TRIGONAL_D5, j1_dim_brute, j_piece, lambda_section,
-                      pairing_matrix, run_cli)
+                      pairing_matrix, r1_dim, run_cli)
 
 H1_ARGS = ["--surface", "hirzebruch:1"]
 # sha256 of the acceptance-10 batch: exit codes, stdout and stderr
@@ -52,7 +52,7 @@ def test_acceptance_01_trigonal_graded_dimensions(trigonal_systems):
     with criterion(1, "trigonal graded dimensions"):
         for d in range(5, 11):
             beta, f, sys_ = trigonal_systems[d]
-            assert sys_.r1_dim(beta) == 4 * d - 9
+            assert r1_dim(sys_, beta) == 4 * d - 9
             assert sys_.j1_piece(beta).dim == 7
         assert [4 * d - 9 for d in range(5, 11)] == [11, 15, 19, 23, 27, 31]
 
@@ -107,7 +107,7 @@ def test_acceptance_05_adjunction_genus_three_ways(h1, trigonal_systems):
             g = genus(h1, beta)
             assert g == 2 * d - 5
             assert g == sys_.section_dim(beta + K)
-            assert g == sys_.r1_dim(beta + K)
+            assert g == r1_dim(sys_, beta + K)
 
 
 def test_acceptance_06_lambda_family_nondegeneracy(p1xp1):
@@ -126,11 +126,11 @@ def test_acceptance_07_duality_and_perfect_pairings(battery):
         for entry in battery:
             fan, beta, sys_ = entry["fan"], entry["beta"], entry["sys"]
             K = canonical_divisor(fan)
-            assert sys_.r1_dim(3 * beta + 2 * K) == 1, entry["name"]
-            ra = sys_.r1_dim(beta + K)
-            assert ra == sys_.r1_dim(2 * beta + K), entry["name"]
-            rb = sys_.r1_dim(beta)
-            assert rb == sys_.r1_dim(2 * beta + 2 * K) == entry["r1_beta"]
+            assert r1_dim(sys_, 3 * beta + 2 * K) == 1, entry["name"]
+            ra = r1_dim(sys_, beta + K)
+            assert ra == r1_dim(sys_, 2 * beta + K), entry["name"]
+            rb = r1_dim(sys_, beta)
+            assert rb == r1_dim(sys_, 2 * beta + 2 * K) == entry["r1_beta"]
             m = pairing_matrix(sys_, beta + K, 2 * beta + K)
             if ra:
                 assert linalg.rank(m, len(m[0])) == ra, entry["name"]

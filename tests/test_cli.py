@@ -156,6 +156,13 @@ def test_class_of_pure_K():
     code, out, _ = run_cli(["basis", "--class-of", "K"] + H1)
     assert code == 0
     assert "dimension: 0" in out
+    code, out, _ = run_cli(["basis", "--surface", "p2", "--class-of=-K"])
+    assert code == 0
+    assert out.splitlines()[:2] == ["divisor: (1, 1, 1)  class (3,)", "dimension: 10"]
+    # argparse reads a separate "-K" as an option, not as the value
+    code, out, err = run_cli(["basis", "--surface", "p2", "--class-of", "-K"])
+    assert (code, out) == (2, "")
+    assert "argument --class-of: expected one argument" in err
 
 
 def test_class_of_needs_beta():

@@ -298,14 +298,31 @@ def test_euler_identity_on_sections():
                 lhs[e] = lhs.get(e, 0) + p * c
         want = {e: const * c for e, c in f.terms.items()}
         assert {e: c for e, c in lhs.items() if c} == want
-    # the check reads the integer Euler terms the engines use: a rescaled
-    # one, and one with a monomial of class beta that f lacks, which only a
-    # comparison of both dicts in full catches
-    g0 = sys_._integral_terms[0]
-    assert g0
-    extra = next(e for e in monomial_basis(fan, sys_.beta_divisor) if e not in f.terms)
-    for bad in (tuple((e, 2 * c) for e, c in g0), g0 + ((extra, 1),)):
-        broken = JacobianSystem(fan, f)
-        broken._integral_terms = (bad,) + broken._integral_terms[1:]
-        with pytest.raises(InternalError):
-            broken._check_euler_identities()
+    # the check reads the integer Euler terms the engines use: each one in
+    # turn rescaled, or given a monomial of class beta that f lacks, which
+    # only a comparison of both dicts in full catches
+    sections = [f]
+    rng = random.Random(21)
+    while len(sections) < 41:
+        fan = random_smooth_fan(rng, rng.randint(0, 3))
+        D = TorusDivisor(tuple(rng.randint(1, 3) for _ in range(fan.n)))
+        basis = list(monomial_basis(fan, D))
+        basis.pop(rng.randrange(len(basis)))  # a monomial f lacks
+        g = CoxPolynomial(fan, {e: Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+                                for e in basis})
+        if all(JacobianSystem(fan, g)._integral_terms):
+            sections.append(g)
+    caught = 0
+    for g in sections:
+        sys_ = JacobianSystem(g.fan, g)
+        extra = next(e for e in monomial_basis(g.fan, sys_.beta_divisor) if e not in g.terms)
+        for i, term in enumerate(sys_._integral_terms):
+            assert term
+            for bad in (tuple((e, 2 * c) for e, c in term), term + ((extra, 1),)):
+                broken = JacobianSystem(g.fan, g)
+                broken._integral_terms = (broken._integral_terms[:i] + (bad,)
+                                          + broken._integral_terms[i + 1:])
+                with pytest.raises(InternalError):
+                    broken._check_euler_identities()
+                caught += 1
+    assert caught >= 450

@@ -16,7 +16,7 @@ from toricjac.jacobian import JacobianSystem
 from toricjac import linalg
 
 from conftest import (QUINTIC_55, dense_section, lambda_section, moved_fan,
-                      random_gl2z, random_smooth_fan)
+                      r1_dim, random_gl2z, random_smooth_fan)
 
 REPORT_FIELDS = ("genus", "dims", "preconditions", "beta_dot_K", "bound_value",
                  "verdict", "failed_preconditions", "nondegeneracy")
@@ -227,7 +227,7 @@ def test_verdicts_under_gl2z_and_relabelling():
             assert ({k: reports[0][k] for k in REPORT_FIELDS}
                     == {k: reports[1][k] for k in REPORT_FIELDS})
             for k in (1, 2):
-                assert len({s.r1_dim(k * s.beta_divisor + canonical_divisor(s.fan))
+                assert len({r1_dim(s, k * s.beta_divisor + canonical_divisor(s.fan))
                             for s in pair}) == 1
             verdicts.append(reports[0]["verdict"])
         if h0(fan, D) <= 6:

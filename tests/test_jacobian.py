@@ -16,7 +16,7 @@ from toricjac import jacobian, linalg
 from conftest import (H2_TRIGONAL, TRIGONAL_D5, dense_reduce, euler_terms,
                       j1_by_slicing, j1_dim_brute, j_piece, lambda_section,
                       multiplication_rank, pairing_matrix, principal_divisor,
-                      random_smooth_fan, row_terms)
+                      r1_dim, random_smooth_fan, row_terms)
 
 
 def subspace_leq(small, big):
@@ -45,14 +45,14 @@ def test_trigonal_d5_dimensions(s5, h1):
     assert s5.j0_piece(beta).dim == 3
     assert j_piece(s5, beta).dim == 7
     assert s5.j1_piece(beta).dim == 7
-    assert s5.r1_dim(beta) == 11
+    assert r1_dim(s5, beta) == 11
     assert s5.j1_piece(beta + K).dim == 0
-    assert s5.r1_dim(beta + K) == 5
-    assert s5.r1_dim(2 * beta + K) == 5
+    assert r1_dim(s5, beta + K) == 5
+    assert r1_dim(s5, 2 * beta + K) == 5
     assert s5.section_dim(2 * beta + 2 * K) == 12
     assert s5.j1_piece(2 * beta + 2 * K).dim == 1
-    assert s5.r1_dim(2 * beta + 2 * K) == 11
-    assert s5.r1_dim(3 * beta + 2 * K) == 1
+    assert r1_dim(s5, 2 * beta + 2 * K) == 11
+    assert r1_dim(s5, 3 * beta + 2 * K) == 1
 
 
 def test_beta_divisor_inferred_from_first_monomial(s5, h1):
@@ -87,6 +87,57 @@ def test_dense_random_sections_on_random_fans():
             assert dict(term) == {e: den * c for e, c in ref.terms.items()}
         built += 1
     assert built >= 25
+
+
+def kernel_pivot_terms(sys_):
+    """Indices of the spanning Euler terms by the rational rule: the nonzero
+    terms off the pivots of the RREF of the kernel of the rays over beta,
+    which gives each term at a pivot as a combination of the others."""
+    fan = sys_.fan
+    rays_and_beta = [[u[0] for u in fan.rays], [u[1] for u in fan.rays],
+                     list(sys_.beta_divisor.coeffs)]
+    _, pivots = linalg.kernel(rays_and_beta, fan.n)
+    return {i for i, g in enumerate(sys_._integral_terms) if g and i not in pivots}
+
+
+def test_spanning_terms_match_the_kernel_pivot_rule():
+    # random sections on random fans: rational or integer coefficients,
+    # dense or sparse (some Euler terms zero), and constant ones, where no
+    # c_k is nonzero; the relations off the last cone span the rational
+    # kernel of the ray matrix and give c_k = phi(beta)
+    kinds = Counter()
+    for seed in range(330):
+        rng = random.Random(seed)
+        fan = random_smooth_fan(rng, rng.randint(0, 4))
+        if seed % 11 == 0:
+            kinds["constant"] += 1
+            f = CoxPolynomial(fan, {(0,) * fan.n: Fraction(rng.randint(1, 9), rng.randint(1, 4))})
+        else:
+            D = TorusDivisor(tuple(rng.randint(0, 3) for _ in range(fan.n)))
+            keep = rng.choice((1.0, 0.5, 0.2))
+            basis = monomial_basis(fan, D)
+            chosen = [e for e in basis if rng.random() < keep] or [rng.choice(basis)]
+            rational = rng.random() < 0.5
+            f = CoxPolynomial(fan, {e: Fraction(rng.randint(1, 9),
+                                                rng.randint(1, 4) if rational else 1)
+                                    for e in chosen})
+            kinds["rational"] += rational
+        sys_ = JacobianSystem(fan, f)
+        kinds["sparse"] += not all(sys_._integral_terms)
+        spanning = {i for i, g in enumerate(sys_._integral_terms)
+                    if any(g is h for h in sys_._spanning_terms)}
+        assert len(spanning) == len(sys_._spanning_terms), seed
+        assert spanning == kernel_pivot_terms(sys_), seed
+        phis = []
+        for k, (a, b, c) in enumerate(sys_._relations):
+            phi = [0] * fan.n
+            phi[k], phi[-2], phi[-1] = 1, -a, -b
+            assert [sum(p * u[x] for p, u in zip(phi, fan.rays)) for x in (0, 1)] == [0, 0]
+            assert c == sum(p * x for p, x in zip(phi, sys_.beta_divisor.coeffs))
+            phis.append([Fraction(p) for p in phi])
+        ker, _ = linalg.kernel([[u[0] for u in fan.rays], [u[1] for u in fan.rays]], fan.n)
+        assert linalg.rank(phis + ker, fan.n) == linalg.rank(phis, fan.n) == len(ker) == fan.n - 2
+    assert kinds["constant"] >= 25 and kinds["rational"] >= 100 and kinds["sparse"] >= 50, kinds
 
 
 def test_residual_of_monomial_matches_dense_reduction(s5, h1):
@@ -206,7 +257,7 @@ def test_pairing_matrix_rejects_degenerate_top(h2):
     sys_ = JacobianSystem(h2, f)
     beta = divisor_from_labels(h2, {"x1": 7, "x2": 3})
     K = canonical_divisor(h2)
-    assert sys_.r1_dim(3 * beta + 2 * K) == 3
+    assert r1_dim(sys_, 3 * beta + 2 * K) == 3
     with pytest.raises(InputError):
         pairing_matrix(sys_, beta + K, 2 * beta + K)
 
@@ -240,7 +291,7 @@ def test_h2_trigonal_dimensions(h2):
     assert sys_.section_dim(beta) == 20
     assert j_piece(sys_, beta).dim == 8
     assert sys_.j1_piece(beta).dim == 8
-    assert sys_.r1_dim(beta) == 12
+    assert r1_dim(sys_, beta) == 12
 
 
 def test_j1_brute_force_spot_check(s5, h1):

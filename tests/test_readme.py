@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from toricjac import linalg
+
 from conftest import run_cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -48,6 +50,18 @@ def test_readme_example(argv, expected, monkeypatch):
     assert code == 0
     assert err == ""
     assert out.splitlines() == expected
+
+
+def test_readme_examples_need_no_dense_rref_or_kernel(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a command reached the dense rref/kernel path")
+
+    monkeypatch.chdir(README.parent)
+    monkeypatch.setattr(linalg, "rref", forbidden)
+    monkeypatch.setattr(linalg, "kernel", forbidden)
+    for argv, expected in _cli_examples():
+        code, out, err = run_cli(argv)
+        assert (code, err, out.splitlines()) == (0, "", expected), argv
 
 
 def test_readme_python_blocks():

@@ -24,6 +24,9 @@ def test_spans_install_traces_a_readme_command(monkeypatch):
     assert f"$ toricjac {FIND_ETA}" in (ROOT / "README.md").read_text()
     tracer = spans.Tracer()
     spans.install(tracer)
+    patched = list(tracer._patches)
+    assert all(getattr(owner, attr).__wrapped__ is original
+               for owner, attr, original in patched)
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out):
@@ -32,9 +35,12 @@ def test_spans_install_traces_a_readme_command(monkeypatch):
         tracer.unpatch()
     assert code == 0 and "found: yes  (rank 5)" in out.getvalue()
     names = {span.name for span in tracer.spans}
-    assert {"cli.main", "criterion.find_rank_g_deformation", "linalg.rref",
-            "linalg.kernel", "linalg.rank", "linalg.reduce_vector",
-            "jacobian.j1_piece", "jacobian.multiplication_matrix",
-            "groebner.is_unit_ideal", "groebner.reduce_poly",
-            "groebner.s_polynomial"} <= names
-    assert not hasattr(toricjac.cli.main, "__wrapped__")
+    assert {"cli.main", "criterion.find_rank_g_deformation", "linalg.rank",
+            "linalg.reduce_vector", "jacobian.j1_piece",
+            "jacobian.multiplication_matrix", "groebner.is_unit_ideal",
+            "groebner.reduce_poly", "groebner.s_polynomial"} <= names
+    # patched, but no library path calls the dense rref or kernel
+    assert {(owner.__name__, attr) for owner, attr, _ in patched} >= {
+        ("toricjac.linalg", "rref"), ("toricjac.linalg", "kernel")}
+    assert not {"linalg.rref", "linalg.kernel"} & names
+    assert all(getattr(owner, attr) is original for owner, attr, original in patched)
