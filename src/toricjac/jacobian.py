@@ -264,6 +264,25 @@ class JacobianSystem:
         return self._cached("j1", D, lambda D: self._piece(
             D, D - canonical_divisor(self.fan), 1))
 
+    def _chart(self, i, j, whole):
+        """The Euler terms on the chart of the cone of rays i and j, as
+        {(e_i, e_j): int} polynomials: the whole chart, or its axis x_j = 0."""
+        ideal = []
+        for g in self._integral_terms:
+            chart = {}
+            for e, coeff in g:
+                if e[j] and not whole:
+                    continue
+                m = (e[i], e[j])
+                s = chart.get(m, 0) + coeff
+                if s:
+                    chart[m] = s
+                else:
+                    chart.pop(m, None)
+            if chart:
+                ideal.append(chart)
+        return ideal
+
     def nondegenerate_decide(self):
         """Exact chart-by-chart decision, made mod P when it can be.
 
@@ -272,12 +291,15 @@ class JacobianSystem:
         exactly when on some chart the substituted Euler terms have a
         common zero, that is, when they do not generate the unit ideal.
         Every chart contains the whole torus {x_i * x_j != 0}, so once the
-        first chart's ideal is the unit ideal there is no common zero on
-        the torus, and a later chart can only have one on its axes.  The
-        cones are (c, c + 1 mod n) in order, so the axis x_i = 0 of chart
-        c >= 1 lies in chart c - 1, apart from its origin, which is on the
-        axis x_j = 0.  A later chart therefore only checks the terms free
-        of x_j, an ideal in one variable, where Buchberger's algorithm is
+        ideal of one start chart is the unit ideal there is no common zero
+        on the torus, and every other chart can only have one on its axes.
+        The cones are (c, c + 1 mod n), so the axis x_i = 0 of chart c,
+        apart from its origin, which is on the axis x_j = 0, is the axis
+        x_j = 0 of chart c - 1 without that chart's origin.  The cover is a
+        cycle: going round it from any start chart, the axis x_i = 0 of
+        each other chart lies in the start chart or is checked by the chart
+        before it.  So every other chart only checks the terms free of
+        x_j, an ideal in one variable, where Buchberger's algorithm is
         Euclid's.  This holds over any algebraically closed field.
 
         The Euler terms of f with its denominators cleared cut out a
@@ -285,33 +307,31 @@ class JacobianSystem:
         the fan is complete.  So when every chart is the unit ideal mod P,
         f is nondegenerate by the lemma of the groebner module; the
         restrictions only add integer coefficients and are never divided
-        by a content.  One chart can be the unit ideal mod P and not over
-        Q, so once some chart is not the unit ideal mod P, the decision is
-        made over the rationals from chart 0 on, and the first degenerate
-        chart is the witness.
+        by a content.  Mod P the start chart, decided whole, is the first
+        one on which f has the least total degree, and its coordinate of
+        larger exponent in f comes last in graded lex, the classical rule
+        of ordering variables by degree, which measured close to the
+        cheapest of all charts and orders.  Swapping the two coordinates
+        is a ring automorphism, which maps the unit ideal to the unit
+        ideal and no other ideal to it, so the order changes the run and
+        never the answer.  One chart can be the unit ideal mod P and not
+        over Q, so once some chart is not the unit ideal mod P, the
+        decision is made over the rationals from chart 0 on, chart 0 whole
+        and in its own order, and the first degenerate chart is the
+        witness.
         """
         cones = self.fan.maximal_cones
-        charts = []
-        for c, (i, j) in enumerate(cones):
-            ideal = []
-            for g in self._integral_terms:
-                chart = {}
-                for e, coeff in g:
-                    if c and e[j]:
-                        continue
-                    m = (e[i], e[j])
-                    s = chart.get(m, 0) + coeff
-                    if s:
-                        chart[m] = s
-                    else:
-                        chart.pop(m, None)
-                if chart:
-                    ideal.append(chart)
-            charts.append(ideal)
-        if not all(is_unit_ideal(ideal, P) for ideal in charts):
-            for c, ideal in enumerate(charts):
-                if not is_unit_ideal(ideal):
-                    i, j = cones[c]
+        f = self._integral_f
+        degrees = [max(e[i] + e[j] for e in f) for i, j in cones]
+        start = degrees.index(min(degrees))
+        i, j = cones[start]
+        if max(e[i] for e in f) > max(e[j] for e in f):
+            i, j = j, i
+        modular = [self._chart(i, j, True)]
+        modular += (self._chart(*cone, False) for c, cone in enumerate(cones) if c != start)
+        if not all(is_unit_ideal(ideal, P) for ideal in modular):
+            for c, (i, j) in enumerate(cones):
+                if not is_unit_ideal(self._chart(i, j, c == 0)):
                     witness = (f"chart {c}: cone ({self.fan.labels[i]}, "
                                f"{self.fan.labels[j]})")
                     return NondegeneracyVerdict("degenerate", witness=witness)

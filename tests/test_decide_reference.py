@@ -3,10 +3,12 @@
 The reference below is the Buchberger engine as it stood before its lead
 terms were cached and its pairs queued on a heap, and the decision that
 ran it on the whole ideal of every chart.  The library now runs
-Buchberger's algorithm on the whole ideal of the first chart only, and on
-one boundary ideal, in one variable, of every later chart, stopping at the
-first constant; it runs these checks modulo a prime P first and falls back
-to the integers when some chart is not the unit ideal mod P.  Both must
+Buchberger's algorithm on the whole ideal of one chart only, and on one
+boundary ideal, in one variable, of every other chart, stopping at the
+first constant.  It runs these checks modulo a prime P first, with the
+least-degree chart whole and its coordinates ordered by degree, and falls
+back to the integers, from the first chart whole, when some chart is not
+the unit ideal mod P.  Both must
 give the same status and the same witness at every P, and the engine the
 same unit-ideal verdicts.  The reference's reduced bases also serve as the
 Groebner bases of tests/test_groebner.py.
@@ -20,8 +22,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import DP7_RAYS, euler_terms, lambda_section
-from toricjac import jacobian
+from conftest import DP7_RAYS, euler_terms, lambda_section, random_smooth_fan
+from toricjac import jacobian, linalg
 from toricjac.cox import CoxPolynomial, monomial_basis, poly_from_text
 from toricjac.divisors import TorusDivisor
 from toricjac.fan import builtin_surface, fan_from_json
@@ -296,17 +298,17 @@ def sparse_systems(seed=2024, count=250, zero_mod_3=False):
         done += 1
 
 
-def boundary_systems():
+def boundary_systems(cases=DENSE, seed=11):
     """(system, expected witness, place of rho in the witness cone).
 
     A dense section whose restriction to the curve x_rho = 0 has a double
-    root away from the torus-fixed points is singular there and nowhere
-    else: the witness is the first chart that contains the curve, with
-    rho as either of its two coordinates.
+    root away from the torus-fixed points is singular there and, for the
+    classes of DENSE, nowhere else: the witness is the first chart that
+    contains the curve, with rho as either of its two coordinates.
     """
-    rng = random.Random(11)
+    rng = random.Random(seed)
     coeffs = [k for k in range(-9, 10) if k]
-    for fan, D in DENSE:
+    for fan, D in cases:
         basis = monomial_basis(fan, TorusDivisor(D))
         for rho in range(fan.n):
             edge = sorted(e for e in basis if not e[rho])
@@ -324,6 +326,29 @@ def boundary_systems():
             i, j = fan.maximal_cones[c]
             want = ("degenerate", f"chart {c}: cone ({fan.labels[i]}, {fan.labels[j]})")
             yield sys_, want, fan.maximal_cones[c].index(rho)
+
+
+def start_chart(sys_):
+    """(c, swapped): the first chart on which f has the least total degree,
+    and whether its first coordinate has the larger exponent in f."""
+    cones = sys_.fan.maximal_cones
+    degrees = [max(e[i] + e[j] for e in sys_.f.terms) for i, j in cones]
+    c = degrees.index(min(degrees))
+    i, j = cones[c]
+    return c, max(e[i] for e in sys_.f.terms) > max(e[j] for e in sys_.f.terms)
+
+
+def moved_start_cases():
+    """Trapezoid classes on Hirzebruch surfaces, on which f has least degree
+    on chart 2 and its larger exponent on x3, and the anticanonical classes
+    of random smooth fans."""
+    cases = [(builtin_surface(f"hirzebruch:{r}"), (a, 1, 0, 0))
+             for r, a in ((1, 3), (2, 3), (2, 4), (3, 4))]
+    rng = random.Random(5)
+    for _ in range(12):
+        fan = random_smooth_fan(rng, rng.randint(1, 2))
+        cases.append((fan, (1,) * fan.n))
+    return cases
 
 
 def nodal_systems():
@@ -395,6 +420,56 @@ def test_boundary_singularities_match_reference():
     assert seen == {0, 1}
 
 
+def test_moved_start_chart_matches_reference(monkeypatch):
+    # Boundary singularities on sections whose modular pass starts away
+    # from chart 0, mostly with its coordinates swapped: the witness must
+    # not depend on the start chart, nor on the prime.  The random fans'
+    # anticanonical sections may be singular elsewhere too, so the
+    # reference, not the planted curve, gives the witness.
+    systems = [(sys_, ref_decide(sys_))
+               for sys_, _, _ in boundary_systems(moved_start_cases(), 3)]
+    moved = [ref for sys_, ref in systems if start_chart(sys_) != (0, False)]
+    assert all(ref[0] == "degenerate" for _, ref in systems)
+    assert sum(start_chart(sys_)[0] and start_chart(sys_)[1] for sys_, _ in systems) >= 20
+    assert {witness.split(":")[0] for _, witness in moved} >= {f"chart {c}" for c in range(4)}
+    for prime in (2, 3, 5, linalg.P):
+        monkeypatch.setattr(jacobian, "P", prime)
+        for sys_, ref in systems:
+            assert decide(sys_) == ref, (prime, sys_.fan.rays, sys_.f.to_text())
+
+
+def test_modular_pass_runs_buchberger_on_the_cheapest_oriented_chart(monkeypatch):
+    # The one bivariate ideal of the modular pass: chart 2 with its
+    # coordinates swapped on the generic hirzebruch:1 (7,3) section, where
+    # f has degree 7 against 10 on charts 0 and 1 and exponents up to 7 in
+    # x3 against 3 in x4; chart 0 as it is on p1xp1 (4,4), where every
+    # chart and coordinate ties.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    seen = []
+    real = jacobian.is_unit_ideal
+
+    def spy(polys, p=None):
+        if p is not None and any(b for g in polys for _, b in g):
+            seen.append(polys)
+        return real(polys, p)
+
+    monkeypatch.setattr(jacobian, "is_unit_ideal", spy)
+    ops = dict((argv[2], argv[6]) for _, argv in
+               workloads.generic_ops("criterion", workloads.CRITERION_SECTIONS, 1, False))
+    for surface, chart, swapped in (("hirzebruch:1", 2, True), ("p1xp1", 0, False)):
+        fan = builtin_surface(surface)
+        sys_ = JacobianSystem(fan, poly_from_text(fan, ops[surface]))
+        del seen[:]
+        assert decide(sys_) == ("nondegenerate", None)
+        want = list(ref_charts(sys_))[chart]
+        if swapped:
+            want = [{(b, a): x for (a, b), x in g.items()} for g in want]
+        assert len(seen) == 1, surface
+        assert [to_int_poly(g) for g in seen[0]] == [to_int_poly(g) for g in want], surface
+
+
 @pytest.mark.parametrize("prime", [2, 3])
 def test_exact_fallback_matches_reference(monkeypatch, prime):
     # A prime this small leaves many nondegenerate sections short of the
@@ -461,8 +536,9 @@ def test_exact_loop_entered_only_on_the_witness_chart(monkeypatch):
 
 def test_generic_sections_never_enter_the_exact_loop(monkeypatch):
     # The benchmark's generic sections of seeds 1 and 5 and the dense
-    # p1xp1 (6,6) section are decided mod P alone; the exact loop would
-    # take about 20 s on the (6,6) one.
+    # p1xp1 (6,6) and hirzebruch:1 (24,6) sections are decided mod P
+    # alone; the exact loop would take about 20 s on the (6,6) one, and
+    # the modular one about 3 s on chart 0 of the (24,6) one.
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import workloads
 
@@ -473,7 +549,8 @@ def test_generic_sections_never_enter_the_exact_loop(monkeypatch):
         return real(polys, p)
 
     monkeypatch.setattr(jacobian, "is_unit_ideal", modular_only)
-    sections = [("p1xp1", workloads.dense_section_text(0, 6, 6, random.Random("w4:1")))]
+    sections = [("p1xp1", workloads.dense_section_text(0, 6, 6, random.Random("w4:1"))),
+                ("hirzebruch:1", workloads.dense_section_text(1, 24, 6, random.Random("w4:1")))]
     for seed in (1, 5):
         for command, classes in (("criterion", workloads.CRITERION_SECTIONS),
                                  ("find-eta", workloads.FIND_ETA_SECTIONS)):

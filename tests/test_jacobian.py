@@ -494,8 +494,12 @@ def test_full_piece_proofs_never_change_a_piece(battery, generic_systems, monkey
     references = [read_pieces(exact_only(sys_), k_max, top)
                   for _, sys_, k_max, top in systems]
     assert proofs == []
+    # the shipping prime is a prime below 2**30, so its residues are single
+    # CPython digits, and the chart decision reads the same one
+    assert all(linalg.P % d for d in range(2, 2**15 + 1)) and linalg.P < 2**30
+    assert jacobian.P == linalg.P
     proved = {}
-    for prime in (2, 3, 2**31 - 1):
+    for prime in (2, 3, 2**31 - 1, linalg.P):
         monkeypatch.setattr(jacobian, "P", prime)
         proofs.clear()
         for (name, sys_, k_max, top), reference in zip(systems, references):
@@ -506,7 +510,7 @@ def test_full_piece_proofs_never_change_a_piece(battery, generic_systems, monkey
     # the proofs, by the rank test or by closure from one, were taken (mod 3
     # the trigonal Euler terms drop their exponent-3 terms, and no piece has
     # full rank there)
-    assert proved[2**31 - 1] >= 30 and proved[2] > 0, proved
+    assert proved[2**31 - 1] >= 30 and proved[linalg.P] >= 30 and proved[2] > 0, proved
 
 
 def test_closure_proves_most_full_pieces(h1, monkeypatch, proofs):
