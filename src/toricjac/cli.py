@@ -36,6 +36,14 @@ POLY = (_opt("--poly", help="polynomial expression, e.g. x1^5*x2^3+x4"),
         _opt("--poly-file", help="polynomial file (JSON or expression)"))
 
 
+def _read(path, what):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise InputError(f"cannot read {what} file: {e}") from None
+
+
 def _load_fan(args):
     if args.surface is not None and args.fan_file is not None:
         raise InputError("give either --surface or --fan-file, not both")
@@ -43,10 +51,7 @@ def _load_fan(args):
         return builtin_surface(args.surface)
     if args.fan_file is not None:
         try:
-            with open(args.fan_file) as fh:
-                data = json.load(fh)
-        except OSError as e:
-            raise InputError(f"cannot read fan file: {e}") from None
+            data = json.loads(_read(args.fan_file, "fan"))
         except json.JSONDecodeError as e:
             raise InputError(f"fan file is not valid JSON: {e}") from None
         return fan_from_json(data)
@@ -110,11 +115,7 @@ def _load_poly(fan, args):
     if args.poly is not None:
         return poly_from_text(fan, args.poly)
     if args.poly_file is not None:
-        try:
-            with open(args.poly_file) as fh:
-                text = fh.read()
-        except OSError as e:
-            raise InputError(f"cannot read polynomial file: {e}") from None
+        text = _read(args.poly_file, "polynomial")
         stripped = text.lstrip()
         if stripped.startswith("{"):
             try:

@@ -6,7 +6,8 @@ polynomials as dicts from exponent pairs (i, j) to coefficients.  Inside
 the module the monomial x^i y^j is the single integer (i + j) * 2**32 + i,
 so integer order is graded lex with x > y, max(f) is the lead monomial
 of f, multiplying by a monomial adds its code, and divmod by 2**32 gives
-back the degree and the x exponent.  Exponents stay below 2**32.
+back the degree and the x exponent; to_int_poly refuses exponents of
+2**32 or more with an InputError.
 
 Every function takes the coefficient arithmetic as a parameter p: with
 p None, integers kept content-free with a positive lead; with a prime p,
@@ -37,6 +38,8 @@ may divide.  A "not unit" answer mod p is no evidence either way.
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, lcm
+
+from .errors import InputError
 
 _D = 1 << 32  # the code of x^i y^j is (i + j) * _D + i
 
@@ -78,8 +81,10 @@ def to_int_poly(terms, p=None):
     With p None the denominators are cleared, which keeps the ideal over
     the rationals, and the result is content-free.  With p the
     coefficients must be integers; they are read mod p, and the result is
-    monic.  Zero terms are dropped.
+    monic.  Zero terms are dropped; exponents of 2**32 or more are refused.
     """
+    if any(i >= _D or j >= _D for i, j in terms):
+        raise InputError("exponents must stay below 2**32")
     if p:
         out = {(i + j) * _D + i: c % p for (i, j), c in terms.items() if c % p}
     else:

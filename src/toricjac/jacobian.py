@@ -266,21 +266,19 @@ class JacobianSystem:
 
     def _chart(self, i, j, whole):
         """The Euler terms on the chart of the cone of rays i and j, as
-        {(e_i, e_j): int} polynomials: the whole chart, or its axis x_j = 0."""
+        {(e_i, e_j): int} polynomials: its axis x_j = 0, or the whole chart
+        with the coordinate of larger maximal exponent in f last."""
+        f = self._integral_f
+        if whole and max(e[i] for e in f) > max(e[j] for e in f):
+            i, j = j, i
         ideal = []
         for g in self._integral_terms:
             chart = {}
             for e, coeff in g:
-                if e[j] and not whole:
-                    continue
-                m = (e[i], e[j])
-                s = chart.get(m, 0) + coeff
-                if s:
-                    chart[m] = s
-                else:
-                    chart.pop(m, None)
-            if chart:
-                ideal.append(chart)
+                if whole or not e[j]:
+                    chart[e[i], e[j]] = chart.get((e[i], e[j]), 0) + coeff
+            if any(chart.values()):
+                ideal.append({m: c for m, c in chart.items() if c})
         return ideal
 
     def nondegenerate_decide(self):
@@ -290,52 +288,45 @@ class JacobianSystem:
         are set to 1, which identifies the chart with C^2; f is degenerate
         exactly when on some chart the substituted Euler terms have a
         common zero, that is, when they do not generate the unit ideal.
-        Every chart contains the whole torus {x_i * x_j != 0}, so once the
-        ideal of one start chart is the unit ideal there is no common zero
-        on the torus, and every other chart can only have one on its axes.
-        The cones are (c, c + 1 mod n), so the axis x_i = 0 of chart c,
-        apart from its origin, which is on the axis x_j = 0, is the axis
-        x_j = 0 of chart c - 1 without that chart's origin.  The cover is a
-        cycle: going round it from any start chart, the axis x_i = 0 of
-        each other chart lies in the start chart or is checked by the chart
-        before it.  So every other chart only checks the terms free of
-        x_j, an ideal in one variable, where Buchberger's algorithm is
-        Euclid's.  This holds over any algebraically closed field.
+        Every chart contains the whole torus {x_i * x_j != 0}, so once one
+        whole chart is the unit ideal there is no common zero on the torus,
+        and every other chart can only have one on its axes.  The cones are
+        (c, c + 1 mod n), so the axis x_i = 0 of chart c, apart from its
+        origin, which is on the axis x_j = 0, is the axis x_j = 0 of chart
+        c - 1 without that chart's origin.  The cover is a cycle: going
+        round it from the whole chart, the axis x_i = 0 of each other chart
+        lies in the whole chart or is checked by the chart before it.  So
+        every other chart only checks the terms free of x_j, an ideal in
+        one variable, where Buchberger's algorithm is Euclid's.  This holds
+        over any algebraically closed field.
 
         The Euler terms of f with its denominators cleared cut out a
         closed subscheme of the toric scheme over Z, which is proper since
         the fan is complete.  So when every chart is the unit ideal mod P,
         f is nondegenerate by the lemma of the groebner module; the
         restrictions only add integer coefficients and are never divided
-        by a content.  Mod P the start chart, decided whole, is the first
-        one on which f has the least total degree, and its coordinate of
-        larger exponent in f comes last in graded lex, the classical rule
-        of ordering variables by degree, which measured close to the
-        cheapest of all charts and orders.  Swapping the two coordinates
-        is a ring automorphism, which maps the unit ideal to the unit
-        ideal and no other ideal to it, so the order changes the run and
-        never the answer.  One chart can be the unit ideal mod P and not
-        over Q, so once some chart is not the unit ideal mod P, the
-        decision is made over the rationals from chart 0 on, chart 0 whole
-        and in its own order, and the first degenerate chart is the
-        witness.
+        by a content.  Both passes go round the charts in cone order and
+        decide one of them whole: mod P the first on which f has the least
+        total degree, which measured close to the cheapest, and over Q
+        chart 0.  A whole chart has its coordinate of larger exponent in f
+        last in graded lex, the classical rule of ordering variables by
+        degree; swapping the two coordinates is a ring automorphism, which
+        maps the unit ideal to the unit ideal and no other ideal to it, so
+        the order changes the run and never the answer.  One chart can be
+        the unit ideal mod P and not over Q, so once some chart is not the
+        unit ideal mod P the decision is made over Q, and the first
+        degenerate chart is the witness.
         """
         cones = self.fan.maximal_cones
-        f = self._integral_f
-        degrees = [max(e[i] + e[j] for e in f) for i, j in cones]
-        start = degrees.index(min(degrees))
-        i, j = cones[start]
-        if max(e[i] for e in f) > max(e[j] for e in f):
-            i, j = j, i
-        modular = [self._chart(i, j, True)]
-        modular += (self._chart(*cone, False) for c, cone in enumerate(cones) if c != start)
-        if not all(is_unit_ideal(ideal, P) for ideal in modular):
+        degrees = [max(e[i] + e[j] for e in self._integral_f) for i, j in cones]
+        for p, whole in ((P, degrees.index(min(degrees))), (None, 0)):
             for c, (i, j) in enumerate(cones):
-                if not is_unit_ideal(self._chart(i, j, c == 0)):
-                    witness = (f"chart {c}: cone ({self.fan.labels[i]}, "
-                               f"{self.fan.labels[j]})")
-                    return NondegeneracyVerdict("degenerate", witness=witness)
-        return NondegeneracyVerdict("nondegenerate")
+                if not is_unit_ideal(self._chart(i, j, c == whole), p):
+                    break
+            else:
+                return NondegeneracyVerdict("nondegenerate")
+        witness = f"chart {c}: cone ({self.fan.labels[i]}, {self.fan.labels[j]})"
+        return NondegeneracyVerdict("degenerate", witness=witness)
 
     def saturation_certificate(self, k_max=8):
         """Nondegeneracy certificate by irrelevant-ideal powers.

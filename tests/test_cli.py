@@ -706,6 +706,30 @@ def test_bad_fan_file_json(tmp_path):
     assert "not valid JSON" in err
 
 
+@pytest.mark.parametrize("argv, what", [
+    (["describe-surface", "--fan-file"], "fan"),
+    (["nondegenerate", "--surface", "p1xp1", "--poly-file"], "polynomial"),
+], ids=["fan-file", "poly-file"])
+def test_a_file_that_is_not_utf8_exits_2(tmp_path, argv, what):
+    path = tmp_path / "input.json"
+    path.write_bytes(b"\xff\xfe{")
+    assert run_cli(argv + [str(path)]) == (
+        2, "", f"error: cannot read {what} file: 'utf-8' codec can't decode byte "
+               "0xff in position 0: invalid start byte\n")
+
+
+def test_exponents_of_2_to_the_32_are_refused():
+    # the chart decision codes x^i y^j as (i + j) * 2**32 + i; one exponent
+    # more and it would run on codes out of graded lex order
+    def section(n):
+        return ["nondegenerate", "--surface", "p1xp1", "--poly",
+                f"x1^{n}*x2 + x3^{n}*x4 + x1^{n}*x4 + x3^{n}*x2"]
+
+    assert run_cli(section(2**32)) == (2, "", "error: exponents must stay below 2**32\n")
+    assert run_cli(section(2**32 - 1)) == (
+        0, "chart decision: degenerate\nwitness: chart 0: cone (x3, x2)\n", "")
+
+
 def test_bad_polynomial_file_json(tmp_path):
     # a file starting with "{" is read as JSON, never as an expression
     path = tmp_path / "f.json"

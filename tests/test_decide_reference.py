@@ -6,11 +6,11 @@ ran it on the whole ideal of every chart.  The library now runs
 Buchberger's algorithm on the whole ideal of one chart only, and on one
 boundary ideal, in one variable, of every other chart, stopping at the
 first constant.  It runs these checks modulo a prime P first, with the
-least-degree chart whole and its coordinates ordered by degree, and falls
-back to the integers, from the first chart whole, when some chart is not
-the unit ideal mod P.  Both must
-give the same status and the same witness at every P, and the engine the
-same unit-ideal verdicts.  The reference's reduced bases also serve as the
+least-degree chart whole, and falls back to the integers, with the first
+chart whole, when some chart is not the unit ideal mod P; a whole chart
+always has its coordinates ordered by degree.  Both must give the same
+status and the same witness at every P, and the engine the same
+unit-ideal verdicts.  The reference's reduced bases also serve as the
 Groebner bases of tests/test_groebner.py.
 """
 
@@ -458,14 +458,14 @@ def test_modular_pass_runs_buchberger_on_the_cheapest_oriented_chart(monkeypatch
     monkeypatch.setattr(jacobian, "is_unit_ideal", spy)
     ops = dict((argv[2], argv[6]) for _, argv in
                workloads.generic_ops("criterion", workloads.CRITERION_SECTIONS, 1, False))
-    for surface, chart, swapped in (("hirzebruch:1", 2, True), ("p1xp1", 0, False)):
+    for surface, chart, swap in (("hirzebruch:1", 2, True), ("p1xp1", 0, False)):
         fan = builtin_surface(surface)
         sys_ = JacobianSystem(fan, poly_from_text(fan, ops[surface]))
         del seen[:]
         assert decide(sys_) == ("nondegenerate", None)
         want = list(ref_charts(sys_))[chart]
-        if swapped:
-            want = [{(b, a): x for (a, b), x in g.items()} for g in want]
+        if swap:
+            want = swapped(want)
         assert len(seen) == 1, surface
         assert [to_int_poly(g) for g in seen[0]] == [to_int_poly(g) for g in want], surface
 
@@ -532,6 +532,31 @@ def test_exact_loop_entered_only_on_the_witness_chart(monkeypatch):
         assert len(entries) == 1 and witness.startswith("chart 0:")
         assert ([to_int_poly(g) for g in entries[0]]
                 == [to_int_poly(g) for g in next(ref_charts(sys_))])
+
+
+def swapped(chart):
+    """A chart ideal with its two coordinates exchanged."""
+    return [{(b, a): x for (a, b), x in g.items()} for g in chart]
+
+
+def test_exact_loop_orients_chart_0_by_degree(monkeypatch):
+    # The four boundary sections of hirzebruch:1 (10,4), where f has
+    # exponents up to 10 in x3 against 4 in x2: the exact loop decides
+    # chart 0 whole with x3 last, as the modular pass orders its whole
+    # chart.  In chart 0's own order the loop took 10-17 s a section.  The
+    # reference runs the unoriented Buchberger on every whole chart and is
+    # far too slow here, so the planted curve gives the witness.
+    entries = exact_entries(monkeypatch)
+    witnesses = []
+    for sys_, want, _ in boundary_systems([(builtin_surface("hirzebruch:1"), (10, 4, 0, 0))]):
+        del entries[:]
+        assert decide(sys_) == want
+        witnesses.append(want[1].split(":")[0])
+        if want[1].startswith("chart 0:"):
+            assert len(entries) == 1
+            assert ([to_int_poly(g) for g in entries[0]]
+                    == [to_int_poly(g) for g in swapped(next(ref_charts(sys_)))])
+    assert witnesses == ["chart 0", "chart 0", "chart 1", "chart 2"]
 
 
 def test_generic_sections_never_enter_the_exact_loop(monkeypatch):

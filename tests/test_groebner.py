@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 
+from toricjac.errors import InputError
 from toricjac.groebner import is_unit_ideal, reduce_poly, s_polynomial, to_int_poly
 
 from test_decide_reference import (ref_groebner_basis, ref_is_unit_ideal,
@@ -55,6 +57,18 @@ def test_to_int_poly_normalizes():
     assert to_int_poly({(1, 0): 3, (0, 1): 5}, 7) == encoded({(1, 0): 1, (0, 1): 4})
     assert to_int_poly({(1, 0): -7, (0, 0): 9}, 7) == encoded({(0, 0): 1})
     assert to_int_poly({(1, 0): 14}, 7) == {}
+
+
+def test_to_int_poly_refuses_exponents_the_codes_cannot_hold():
+    # an x exponent of 2**32 carries into the degree: x^(2**32) and
+    # y^(2**32 + 1) would share one code
+    assert code(2**32, 0) == code(0, 2**32 + 1)
+    top = 2**32 - 1
+    for p in (None, 7):
+        assert decoded(to_int_poly({(top, 1): 1, (0, top): 1}, p)) == {(top, 1): 1, (0, top): 1}
+        for m in ((top + 1, 0), (0, top + 1)):
+            with pytest.raises(InputError, match=r"below 2\*\*32"):
+                to_int_poly({m: 1, (0, 0): 1}, p)
 
 
 def test_reduce_poly_simple():

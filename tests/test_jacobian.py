@@ -7,7 +7,7 @@ import pytest
 
 from toricjac.cox import CoxPolynomial, monomial_basis, poly_from_text
 from toricjac.divisors import (TorusDivisor, canonical_divisor, divisor_from_labels,
-                               is_nef, pic_class)
+                               genus, h0, is_ample, is_nef, pic_class)
 from toricjac.errors import InputError
 from toricjac.fan import Fan, builtin_surface
 from toricjac.jacobian import JacobianSystem
@@ -177,6 +177,36 @@ def test_containments_j0_j_j1(s5, h1):
         assert subspace_leq(j, j1)
         assert subspace_leq(j0, j)
         assert j0.dim <= j.dim <= j1.dim
+
+
+def test_random_fans_j_in_j1_and_duality_at_beta_plus_k():
+    # Dense and sparse sections at small ample classes on random smooth
+    # fans.  J lies in J1 for any section, since x * df/dx_rho is a
+    # multiple of the Euler term of rho.  For a nondegenerate one, J1 is 0
+    # at beta+K, so r1(beta+K) = h0(beta+K) = g, and duality gives r1 at
+    # 2beta+K the same.  r1(beta) = r1(2beta+2K) is not asserted: it fails
+    # where J1_{2beta+2K} = 0, which the criterion refuses as a precondition.
+    rng = random.Random(7)
+    sizes, nondegenerate = Counter(), 0
+    while sum(sizes.values()) < 40:
+        fan = random_smooth_fan(rng, rng.randint(0, 3))
+        beta = TorusDivisor(tuple(rng.randint(0, 3) for _ in range(fan.n)))
+        if not is_ample(fan, beta) or not 3 <= h0(fan, beta) <= 30:
+            continue
+        basis = monomial_basis(fan, beta)
+        if sum(sizes.values()) % 2:
+            basis = rng.sample(basis, rng.randint(2, min(6, len(basis))))
+        sys_ = JacobianSystem(fan, CoxPolynomial(
+            fan, {e: rng.choice((-3, -2, -1, 1, 2, 3)) for e in basis}))
+        sizes[fan.n] += 1
+        K = canonical_divisor(fan)
+        for D in (beta, 2 * beta + K):
+            assert subspace_leq(j_piece(sys_, D), sys_.j1_piece(D)), fan.rays
+        if sys_.nondegenerate_decide().status == "nondegenerate":
+            nondegenerate += 1
+            assert (r1_dim(sys_, beta + K) == r1_dim(sys_, 2 * beta + K)
+                    == genus(fan, beta)), (fan.rays, sys_.f.to_text())
+    assert nondegenerate >= 15 and set(sizes) >= {3, 4, 5}, (nondegenerate, sizes)
 
 
 def test_f_lies_in_its_own_ideals(s5):
