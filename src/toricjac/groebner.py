@@ -10,11 +10,12 @@ back the degree and the x exponent; to_int_poly refuses exponents of
 2**32 or more with an InputError.
 
 Every function takes the coefficient arithmetic as a parameter p: with
-p None, integers kept content-free with a positive lead; with a prime p,
-residues mod p with monic leads.  One pair loop serves both, with both
-classical pair criteria and a heap of pending pairs, smallest lcm first.
-Each basis element's lead and the lead's exponents are computed once,
-when it joins the basis.
+p None, integers kept content-free with a positive lead by linalg's
+integral, eliminate and primitive, the package's one integer arithmetic;
+with a prime p, residues mod p with monic leads.  One pair loop serves
+both, with both classical pair criteria and a heap of pairs, smallest
+lcm first.  Each basis element's lead and the lead's exponents are
+computed once, when it joins the basis.
 
 A remainder is reduced only until its lead is divisible by no basis
 lead; its tail is left as it is.  Buchberger's criterion asks only that
@@ -37,9 +38,9 @@ may divide.  A "not unit" answer mod p is no evidence either way.
 
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import gcd, lcm
 
 from .errors import InputError
+from .linalg import eliminate, integral, primitive
 
 _D = 1 << 32  # the code of x^i y^j is (i + j) * _D + i
 
@@ -61,18 +62,14 @@ def _normalize(f, p):
     """f made content-free with a positive lead, or monic mod p."""
     if not f:
         return {}
-    lc = f[max(f)]
-    if p:
-        if lc == 1:
-            return f
-        inv = pow(lc, -1, p)
-        return {m: c * inv % p for m, c in f.items()}
-    g = 0
-    for c in f.values():
-        g = gcd(g, c)
-    if lc < 0:
-        g = -g
-    return {m: c // g for m, c in f.items()}
+    lm = max(f)
+    if not p:
+        return primitive(f, lm)
+    lc = f[lm]
+    if lc == 1:
+        return f
+    inv = pow(lc, -1, p)
+    return {m: c * inv % p for m, c in f.items()}
 
 
 def to_int_poly(terms, p=None):
@@ -88,9 +85,7 @@ def to_int_poly(terms, p=None):
     if p:
         out = {(i + j) * _D + i: c % p for (i, j), c in terms.items() if c % p}
     else:
-        denom = lcm(*(Fraction(c).denominator for c in terms.values()))
-        out = {(i + j) * _D + i: int(Fraction(c) * denom)
-               for (i, j), c in terms.items() if c}
+        out = integral(((i + j) * _D + i, Fraction(c)) for (i, j), c in terms.items())[0]
     return _normalize(out, p)
 
 
@@ -101,11 +96,11 @@ def reduce_poly(f, gens, p=None, leads=None):
     normalized as the inputs are.  When gens is a Groebner basis it is
     empty exactly when f lies in their ideal.  leads holds each
     generator's _lead, as is_unit_ideal stores them; without it they are
-    computed here.  Over the integers this is pseudo-reduction: before a
-    lead term is cancelled the polynomial is scaled by a positive
-    multiplier, then stripped of its content, so it stays a positive
-    multiple of what reduction over the rationals gives.  Mod p the gens
-    are monic, so a lead term is cancelled without scaling.
+    computed here.  Over the integers this is pseudo-reduction by linalg's
+    step: eliminate scales by a positive multiplier before it cancels the
+    lead term, and primitive strips the content, so the result stays a
+    positive multiple of what reduction over the rationals gives.  Mod p
+    the gens are monic, so a lead term is cancelled without scaling.
     """
     if leads is None:
         leads = [_lead(max(g)) for g in gens]
@@ -120,37 +115,18 @@ def reduce_poly(f, gens, p=None, leads=None):
                 break
         else:
             return _normalize(f, p)
-        lc = f[lm]
         shift = lm - gm
-        if p:
-            for m, c in g.items():
-                m += shift
-                s = (f.get(m, 0) - lc * c) % p
-                if s:
-                    f[m] = s
-                else:
-                    del f[m]
+        if not p:
+            f = _normalize(eliminate(f, {m + shift: c for m, c in g.items()}, lm), p)
             continue
-        l = lcm(lc, g[gm])
-        a = l // abs(lc)
-        b = l // g[gm] if lc > 0 else -(l // g[gm])  # a * lc == b * g[gm]
-        if a != 1:
-            f = {m: a * c for m, c in f.items()}
+        lc = f[lm]
         for m, c in g.items():
             m += shift
-            s = f.get(m, 0) - b * c
+            s = (f.get(m, 0) - lc * c) % p
             if s:
                 f[m] = s
             else:
                 del f[m]
-        if a != 1:
-            cont = 0
-            for c in f.values():
-                cont = gcd(cont, c)
-                if cont == 1:
-                    break
-            if cont > 1:
-                f = {m: c // cont for m, c in f.items()}
     return {}
 
 
@@ -162,24 +138,18 @@ def s_polynomial(f, g, p=None):
     """
     fm, gm = max(f), max(g)
     top = _lcm_mono(fm, gm)
-    if p:
-        a = b = 1
-    else:
-        l = lcm(f[fm], g[gm])
-        a, b = l // f[fm], l // g[gm]
-    df = top - fm
-    s = {m + df: a * c for m, c in f.items()}
-    dg = top - gm
+    df, dg = top - fm, top - gm
+    s = {m + df: c for m, c in f.items()}
+    if not p:
+        return _normalize(eliminate(s, {m + dg: c for m, c in g.items()}, top), p)
     for m, c in g.items():
         m += dg
-        v = s.get(m, 0) - b * c
-        if p:
-            v %= p
+        v = (s.get(m, 0) - c) % p
         if v:
             s[m] = v
         else:
             del s[m]
-    return s if p else _normalize(s, p)
+    return s
 
 
 def is_unit_ideal(polys, p=None):
@@ -194,8 +164,8 @@ def is_unit_ideal(polys, p=None):
     """
     G = []
     leads = []
-    pending = set()
     queue = []
+    done = set()  # popped pairs; each pair is pushed when its later member joins
 
     def add(g):
         lead = _lead(max(g))
@@ -204,7 +174,6 @@ def is_unit_ideal(polys, p=None):
         for j, (_, xj, yj) in enumerate(leads):
             lx = max(x, xj)
             top = (lx + max(y, yj)) * _D + lx
-            pending.add((i, j))
             heappush(queue, (top, i, j))
         G.append(g)
         leads.append(lead)
@@ -217,18 +186,18 @@ def is_unit_ideal(polys, p=None):
             add(f)
     while queue:
         top, i, j = heappop(queue)
-        pending.discard((i, j))
+        done.add((i, j))
         # product criterion: coprime lead monomials give a trivial pair
         if top == leads[i][0] + leads[j][0]:
             continue
         # chain criterion: a third element dividing the lcm whose pairs with
-        # both i and j were already treated makes this pair redundant
+        # both i and j were already popped makes this pair redundant
         d, x = divmod(top, _D)
         y = d - x
         for k, (_, kx, ky) in enumerate(leads):
             if (kx <= x and ky <= y and k != i and k != j
-                    and (max(i, k), min(i, k)) not in pending
-                    and (max(j, k), min(j, k)) not in pending):
+                    and (max(i, k), min(i, k)) in done
+                    and (max(j, k), min(j, k)) in done):
                 break
         else:
             r = reduce_poly(s_polynomial(G[i], G[j], p), G, p, leads)

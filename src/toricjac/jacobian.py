@@ -36,7 +36,6 @@ of S_D.  The builder tries, in this order:
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from operator import add
 
 from .cox import CoxPolynomial, monomial_basis
@@ -164,9 +163,7 @@ class JacobianSystem:
         self.beta_divisor = TorusDivisor(sorted(f.terms)[0])
         # f's denominators cleared once, den * f: term i holds e_i * c for
         # each term c * x^e of it with e_i > 0, the Euler term of ray i
-        den = lcm(*(c.denominator for c in f.terms.values()))
-        cleared = self._integral_f = {e: c.numerator * (den // c.denominator)
-                                      for e, c in f.terms.items()}
+        cleared = self._integral_f = linalg.integral(f.terms.items())[0]
         self._integral_terms = tuple(tuple((e, e[i] * c) for e, c in cleared.items() if e[i])
                                      for i in range(fan.n))
         self._cache = {}

@@ -7,6 +7,8 @@ first.  The back-substitution clears each row against rows that are
 already reduced, and a reduced row is zero at every other pivot, so it
 holds at most one entry per non-pivot column besides its own pivot: the
 rows stay as sparse as the piece's corank allows however dense the input.
+Its steps, integral, eliminate and primitive, are the package's integer
+arithmetic: groebner's integer Buchberger pass takes the same three.
 reduce_vector reduces modulo its basis with one denominator.  spans_mod
 answers only the one question a residue can settle exactly: whether
 integer rows have full column rank; rank asks it before it eliminates.
@@ -24,15 +26,15 @@ from math import gcd, lcm
 P = 2**30 - 35
 
 
-def _integral(cells):
+def integral(cells):
     """(v, den): the nonzero (column, rational) cells, times den, as {column: int} v."""
     cells = [(c, x) for c, x in cells if x]
     den = lcm(*(x.denominator for _, x in cells))
     return {c: x.numerator * (den // x.denominator) for c, x in cells}, den
 
 
-def _eliminate(v, b, p):
-    """A multiple of v minus a multiple of b, with a zero in column p, as a new row."""
+def eliminate(v, b, p):
+    """(b[p] * v - v[p] * b) / gcd(b[p], v[p]): a new row, zero in column p."""
     a, m = b[p], v[p]
     g = gcd(a, m)
     a, m = a // g, m // g
@@ -46,12 +48,12 @@ def _eliminate(v, b, p):
     return out
 
 
-def _primitive(v):
-    """v divided by its content, with a positive first entry."""
+def primitive(v, lead):
+    """v divided by its content, positive in column lead; v itself if it already is."""
     g = gcd(*v.values())
-    if v[min(v)] < 0:
+    if v[lead] < 0:
         g = -g
-    return {c: x // g for c, x in v.items()}
+    return v if g == 1 else {c: x // g for c, x in v.items()}
 
 
 def echelon(rows, start):
@@ -78,16 +80,17 @@ def echelon(rows, start):
     for v in sorted(rows, key=lambda v: -min(v, default=start)):
         lead = min(v, default=None)
         while lead in pivots:
-            v = _eliminate(v, pivots[lead], lead)
+            v = eliminate(v, pivots[lead], lead)
             lead = min(v, default=None)
         if lead is not None:
-            pivots[lead] = _primitive(v)
+            pivots[lead] = primitive(v, lead)
     basis = {}
     for p in sorted((p for p in pivots if p >= start), reverse=True):
         v = pivots[p]
         for c in [c for c in v if c in basis]:
-            v = _eliminate(v, basis[c], c)
-        basis[p] = _primitive(v)
+            v = eliminate(v, basis[c], c)
+        basis[p] = primitive(v, p)
+    # rebuilt here, so no output row is an input row that primitive returned
     return {p - start: {c - start: x for c, x in b.items()} for p, b in basis.items()}
 
 
@@ -123,7 +126,7 @@ def spans_mod(rows, n, p):
 def rref(rows, ncols):
     """(reduced_rows, pivot_columns) of dense rational rows: the nonzero
     rows of the RREF as tuples of Fractions, with unit pivots."""
-    basis = echelon([_integral(enumerate(row))[0] for row in rows], 0)
+    basis = echelon([integral(enumerate(row))[0] for row in rows], 0)
     pivots = tuple(sorted(basis))
     return [dense_row(basis[p], p, ncols) for p in pivots], pivots
 
@@ -136,7 +139,7 @@ def dense_row(b, p, ncols):
 def rank(rows, ncols):
     """Rank of dense rational rows in ncols columns: ncols when the rows
     span mod P, which proves it over Q, and otherwise exactly."""
-    ints = [_integral(enumerate(row))[0] for row in rows]
+    ints = [integral(enumerate(row))[0] for row in rows]
     if spans_mod(ints, ncols, P):
         return ncols
     return len(echelon(ints, 0))
@@ -145,13 +148,13 @@ def rank(rows, ncols):
 def reduce_vector(basis, vec):
     """Residual {column: Fraction} of a sparse vec modulo an echelon basis;
     it is empty exactly when vec lies in the span."""
-    v, den = _integral(vec.items())
+    v, den = integral(vec.items())
     # each basis row is zero at the other pivots, so eliminating one pivot
     # only rescales v at the others
     for p in basis.keys() & v.keys():
         b = basis[p]
         den *= b[p] // gcd(b[p], v[p])
-        v = _eliminate(v, b, p)
+        v = eliminate(v, b, p)
     return {c: Fraction(x, den) for c, x in v.items()}
 
 

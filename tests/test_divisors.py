@@ -261,6 +261,27 @@ def test_euler_characteristic_structure_sheaf():
         assert euler_characteristic(fan, canonical_divisor(fan)) == 1
 
 
+def test_riemann_roch_and_adjunction_on_random_fans():
+    # Demazure vanishing: a nef D has no higher cohomology, so h0 is the
+    # Riemann-Roch number; for ample D adjunction counts the interior
+    # points of its polygon, which are the sections of D + K
+    nef = ample = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        fan = random_smooth_fan(rng, rng.randint(0, 4))
+        K = canonical_divisor(fan)
+        for _ in range(60):
+            D = TorusDivisor(tuple(rng.randint(-1, 4) for _ in range(fan.n)))
+            if is_nef(fan, D):
+                nef += 1
+                assert h0(fan, D) == euler_characteristic(fan, D) \
+                    == len(monomial_basis(fan, D)), (fan, D)
+            if is_ample(fan, D):
+                ample += 1
+                assert genus(fan, D) == h0(fan, D + K), (fan, D)
+    assert nef > 400 and ample > 250, (nef, ample)
+
+
 def test_genus_values():
     fan = build_hirzebruch(1)
     beta = divisor_from_labels(fan, {"x1": 5, "x2": 3})

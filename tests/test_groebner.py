@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from toricjac.errors import InputError
 from toricjac.groebner import is_unit_ideal, reduce_poly, s_polynomial, to_int_poly
 
 from test_decide_reference import (ref_groebner_basis, ref_is_unit_ideal,
-                                   ref_reduce_poly, ref_to_int_poly)
+                                   ref_reduce_poly, ref_s_polynomial, ref_to_int_poly)
 
 X, Y = sympy.symbols("x y")
 P = 2**31 - 1
@@ -245,3 +246,24 @@ def test_chart_sized_systems_match_sympy_and_reference():
     # unit and non-unit answers occur, exactly and mod every prime
     assert {True, False} <= answers
     assert all((p, b) in answers for p in (2, 3, 5, 7, P) for b in (True, False))
+
+
+def test_s_polynomial_matches_the_reference():
+    # every ordered pair of the chart-sized generators, across systems so
+    # that the leads differ in degree as well as in coefficient: over Z the
+    # reference's content-free S-polynomial, in coded form; mod p the
+    # reference's read mod p and made monic, since s_polynomial leaves its
+    # result as it comes there
+    polys = [g for system in chart_sized_systems(random.Random(5)) for g in system]
+    shifted = scaled = 0
+    for f, g in itertools.permutations(polys, 2):
+        F, G = ref_to_int_poly(f), ref_to_int_poly(g)
+        assert s_polynomial(encoded(F), encoded(G)) == encoded(ref_s_polynomial(F, G)), (f, g)
+        shifted += lead(F) != lead(G)
+        scaled += F[lead(F)] != G[lead(G)]  # a multiplier other than 1
+        for p in (2, 3, 5, 7, P):
+            fp, gp = to_int_poly(f, p), to_int_poly(g, p)
+            if fp and gp:
+                ref = ref_s_polynomial(decoded(fp), decoded(gp))
+                assert to_int_poly(decoded(s_polynomial(fp, gp, p)), p) == to_int_poly(ref, p)
+    assert shifted > 100 and scaled > 100, (shifted, scaled)
