@@ -12,10 +12,11 @@ back the degree and the x exponent; to_int_poly refuses exponents of
 Every function takes the coefficient arithmetic as a parameter p: with
 p None, integers kept content-free with a positive lead by linalg's
 integral, eliminate and primitive, the package's one integer arithmetic;
-with a prime p, residues mod p with monic leads.  One pair loop serves
-both, with both classical pair criteria and a heap of pairs, smallest
-lcm first.  Each basis element's lead and the lead's exponents are
-computed once, when it joins the basis.
+with a prime p, residues mod p with monic leads by linalg's subtract_mod
+and primitive, its one modular arithmetic.  One pair loop serves both,
+with both classical pair criteria and a heap of pairs, smallest lcm
+first.  Each basis element's lead and its exponents are computed once,
+when it joins the basis.
 
 A remainder is reduced only until its lead is divisible by no basis
 lead; its tail is left as it is.  Buchberger's criterion asks only that
@@ -40,7 +41,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 
 from .errors import InputError
-from .linalg import eliminate, integral, primitive
+from .linalg import eliminate, integral, primitive, subtract_mod
 
 _D = 1 << 32  # the code of x^i y^j is (i + j) * _D + i
 
@@ -60,16 +61,7 @@ def _lcm_mono(a, b):
 
 def _normalize(f, p):
     """f made content-free with a positive lead, or monic mod p."""
-    if not f:
-        return {}
-    lm = max(f)
-    if not p:
-        return primitive(f, lm)
-    lc = f[lm]
-    if lc == 1:
-        return f
-    inv = pow(lc, -1, p)
-    return {m: c * inv % p for m, c in f.items()}
+    return primitive(f, max(f), p) if f else {}
 
 
 def to_int_poly(terms, p=None):
@@ -100,7 +92,8 @@ def reduce_poly(f, gens, p=None, leads=None):
     step: eliminate scales by a positive multiplier before it cancels the
     lead term, and primitive strips the content, so the result stays a
     positive multiple of what reduction over the rationals gives.  Mod p
-    the gens are monic, so a lead term is cancelled without scaling.
+    the gens are monic, so linalg's subtract_mod cancels a lead term in
+    place, without scaling.
     """
     if leads is None:
         leads = [_lead(max(g)) for g in gens]
@@ -116,17 +109,10 @@ def reduce_poly(f, gens, p=None, leads=None):
         else:
             return _normalize(f, p)
         shift = lm - gm
-        if not p:
+        if p:
+            subtract_mod(f, g, f[lm], p, shift)
+        else:
             f = _normalize(eliminate(f, {m + shift: c for m, c in g.items()}, lm), p)
-            continue
-        lc = f[lm]
-        for m, c in g.items():
-            m += shift
-            s = (f.get(m, 0) - lc * c) % p
-            if s:
-                f[m] = s
-            else:
-                del f[m]
     return {}
 
 
@@ -140,16 +126,10 @@ def s_polynomial(f, g, p=None):
     top = _lcm_mono(fm, gm)
     df, dg = top - fm, top - gm
     s = {m + df: c for m, c in f.items()}
-    if not p:
-        return _normalize(eliminate(s, {m + dg: c for m, c in g.items()}, top), p)
-    for m, c in g.items():
-        m += dg
-        v = (s.get(m, 0) - c) % p
-        if v:
-            s[m] = v
-        else:
-            del s[m]
-    return s
+    if p:
+        subtract_mod(s, g, 1, p, dg)
+        return s
+    return _normalize(eliminate(s, {m + dg: c for m, c in g.items()}, top), p)
 
 
 def is_unit_ideal(polys, p=None):

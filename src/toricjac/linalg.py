@@ -7,11 +7,13 @@ first.  The back-substitution clears each row against rows that are
 already reduced, and a reduced row is zero at every other pivot, so it
 holds at most one entry per non-pivot column besides its own pivot: the
 rows stay as sparse as the piece's corank allows however dense the input.
-Its steps, integral, eliminate and primitive, are the package's integer
-arithmetic: groebner's integer Buchberger pass takes the same three.
-reduce_vector reduces modulo its basis with one denominator.  spans_mod
-answers only the one question a residue can settle exactly: whether
-integer rows have full column rank; rank asks it before it eliminates.
+Both row arithmetics of the package live here, shared with groebner.
+Over Z, integral, eliminate and primitive serve echelon and the integer
+chart pass; mod a prime p, subtract_mod and primitive(v, lead, p) serve
+spans_mod and the modular chart pass.  spans_mod answers only the one
+question a residue can settle exactly: whether integer rows have full
+column rank; rank asks it before it eliminates.  reduce_vector reduces
+modulo its basis with one denominator.
 No library code calls rref, echelon's dense Fraction view, or kernel:
 they are test oracles, and perfbench/spans.py wraps them by name.
 """
@@ -48,8 +50,24 @@ def eliminate(v, b, p):
     return out
 
 
-def primitive(v, lead):
-    """v divided by its content, positive in column lead; v itself if it already is."""
+def subtract_mod(v, b, m, p, shift=0):
+    """v - m * (b with its columns moved by shift) mod the prime p, in place.
+    m and b's entries are nonzero mod p, so a cell that turns zero was in v."""
+    for c, x in b.items():
+        c += shift
+        y = (v.get(c, 0) - m * x) % p
+        if y:
+            v[c] = y
+        else:
+            del v[c]
+
+
+def primitive(v, lead, p=None):
+    """v divided by its content, positive in column lead, or with p a prime,
+    the residues v scaled to 1 at lead; v itself if it already is."""
+    if p:
+        inv = pow(v[lead], -1, p)
+        return v if inv == 1 else {c: x * inv % p for c, x in v.items()}
     g = gcd(*v.values())
     if v[lead] < 0:
         g = -g
@@ -108,18 +126,10 @@ def spans_mod(rows, n, p):
         v = {c: x % p for c, x in v.items() if x % p}
         while v:
             lead = min(v)
-            b = pivots.get(lead)
-            if b is None:
-                inv = pow(v[lead], -1, p)
-                pivots[lead] = {c: x * inv % p for c, x in v.items()}
+            if lead not in pivots:
+                pivots[lead] = primitive(v, lead, p)
                 break
-            m = v[lead]
-            for c, x in b.items():
-                y = (v.get(c, 0) - m * x) % p
-                if y:
-                    v[c] = y
-                else:
-                    v.pop(c, None)
+            subtract_mod(v, pivots[lead], v[lead], p)
     return len(pivots) == n
 
 

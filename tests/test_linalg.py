@@ -9,7 +9,8 @@ from toricjac import linalg
 from toricjac.cox import poly_from_text
 from toricjac.divisors import canonical_divisor, divisor_from_labels
 from toricjac.jacobian import JacobianSystem
-from toricjac.linalg import echelon, kernel, rank, reduce_vector, rref, spans_mod
+from toricjac.linalg import (echelon, kernel, primitive, rank, reduce_vector, rref,
+                             spans_mod, subtract_mod)
 
 from conftest import dense_reduce, integer_row
 
@@ -270,6 +271,29 @@ def test_spans_mod_is_full_rank_mod_p_and_then_over_q(matrix, p):
     assert full == (dense_rank_mod(mat, ncols, p) == ncols)
     if full:
         assert rank(mat, ncols) == ncols
+
+
+def test_modular_steps_match_dense_residues():
+    # subtract_mod and primitive(v, lead, p), the steps of spans_mod and of
+    # groebner's modular pass, against the same arithmetic column by column
+    rng = random.Random(3)
+    for p in (2, 3, 5, 7, linalg.P):
+        for shift in (0, 1, 3):
+            for _ in range(10):
+                v = {c: x for c in range(8) if (x := rng.randrange(p))}
+                b = {c: rng.randrange(1, p) for c in rng.sample(range(5), 3)}
+                m = rng.randrange(1, p)
+                want = {c: y for c in range(8) if
+                        (y := (v.get(c, 0) - m * b.get(c - shift, 0)) % p)}
+                subtract_mod(v, b, m, p, shift)
+                assert v == want, (p, shift)
+                if not v:
+                    continue
+                lead = min(v)
+                u = primitive(v, lead, p)
+                assert u[lead] == 1 and u.keys() == v.keys(), p
+                assert all(u[c] * v[lead] % p == x for c, x in v.items()), p
+                assert primitive(u, lead, p) is u
 
 
 def test_spans_mod_false_proves_nothing():
