@@ -223,18 +223,20 @@ def _cmd_hilbert(args):
         raise InputError("hilbert needs the section f (--poly or --poly-file)")
     sys_ = JacobianSystem(fan, f)
     s_dim = sys_.section_dim(D)
-    piece = sys_.j1_piece(D)
+    # only the dump needs the piece; j1_dim then reads its dimension
+    piece = sys_.j1_piece(D) if args.dump_subspaces else None
+    j1_dim = sys_.j1_dim(D)
     payload = {
         "divisor": list(D.coeffs),
         "class": list(pic_class(fan, D).vec),
         "dim_S": s_dim,
-        "dim_J1": piece.dim,
-        "dim_R1": s_dim - piece.dim,
+        "dim_J1": j1_dim,
+        "dim_R1": s_dim - j1_dim,
     }
     lines = [f"divisor: {tuple(D.coeffs)}  class {pic_class(fan, D).vec}",
              f"dim S  = {s_dim}",
-             f"dim J1 = {piece.dim}",
-             f"dim R1 = {s_dim - piece.dim}"]
+             f"dim J1 = {j1_dim}",
+             f"dim R1 = {s_dim - j1_dim}"]
     if args.dump_subspaces:
         payload["J1_subspace"] = piece.to_dict()
         lines.append("J1 echelon basis:")

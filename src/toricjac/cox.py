@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import repeat
 
 # polytope is unused here, but perfbench/spans.py wraps it under this name
-from .divisors import TorusDivisor, columns, pic_class, polytope  # noqa: F401
+from .divisors import PicClass, class_vec, columns, polytope  # noqa: F401
 from .errors import InputError, InternalError
 from .fan import LABEL, _label_key, _tuple
 
@@ -42,7 +42,7 @@ class CoxPolynomial:
     nonzero Fraction coefficients.  It has no arithmetic operators; the
     library only reads its terms."""
 
-    __slots__ = ("fan", "terms")
+    __slots__ = ("fan", "terms", "_class")
 
     def __init__(self, fan, terms=None):
         self.fan = fan
@@ -66,20 +66,20 @@ class CoxPolynomial:
             if c:
                 clean[exps] = Fraction(c)
         self.terms = clean
+        self._class = None
 
     def is_zero(self):
         return not self.terms
 
     def homogeneous_class(self):
-        """Common Picard class of all terms (None for the zero polynomial)."""
-        cls = None
-        for exps in self.terms:
-            c = pic_class(self.fan, TorusDivisor(exps))
-            if cls is None:
-                cls = c
-            elif c != cls:
+        """Common Picard class of all terms (None for the zero polynomial),
+        computed on the first call."""
+        if self._class is None and self.terms:
+            vecs = {class_vec(self.fan, e) for e in self.terms}
+            if len(vecs) > 1:
                 raise InputError("polynomial is not homogeneous")
-        return cls
+            self._class = PicClass(vecs.pop(), self.fan.basis_id)
+        return self._class
 
     def sorted_terms(self):
         return [(e, self.terms[e]) for e in sorted(self.terms, reverse=True)]

@@ -98,8 +98,8 @@ def _evaluate(fan, D_beta, f, mode):
     s_beta_k = sys.section_dim(D_beta + K)
     s_beta_2k = sys.section_dim(D_beta + 2 * K)
     s_2beta_2k = sys.section_dim(2 * D_beta + 2 * K)
-    j1_beta = sys.j1_piece(D_beta).dim
-    j1_2beta_2k = sys.j1_piece(2 * D_beta + 2 * K).dim
+    j1_beta = sys.j1_dim(D_beta)
+    j1_2beta_2k = sys.j1_dim(2 * D_beta + 2 * K)
 
     ample = is_ample(fan, D_beta)
     g = genus(fan, D_beta)

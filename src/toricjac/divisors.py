@@ -89,11 +89,15 @@ def pic_class(fan, D):
     non-pivot rays are the class coordinates.
     """
     _check_len(fan, D)
+    return PicClass(class_vec(fan, D.coeffs), fan.basis_id)
+
+
+def class_vec(fan, a):
+    """pic_class(fan, D).vec for the coefficients a of D, unchecked: read
+    straight from the Hermite rows, so exponent tuples need no divisor."""
     h1, h2 = fan.hnf_rows
-    a = D.coeffs
     c0, c1 = a[0], a[1]
-    vec = tuple(a[i] - c0 * h1[i] - c1 * h2[i] for i in range(2, fan.n))
-    return PicClass(vec, fan.basis_id)
+    return tuple(a[i] - c0 * h1[i] - c1 * h2[i] for i in range(2, fan.n))
 
 
 def representative(fan, c):

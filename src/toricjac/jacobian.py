@@ -11,6 +11,21 @@ k with c_k != 0, span every g_k.  With f's denominators cleared once, the
 identities are checked as integer term dicts, and the products m * g are
 sparse integer rows written straight from the terms of g.
 
+Not every product is written.  Let lm(g) be the lex-largest exponent
+tuple of g; tuple order is a monomial order.  The row m * g_i is dropped
+when lm(g_j) divides m for an earlier spanning term g_j, j < i (the
+syzygy criterion of F5 for principal syzygies, Faugere, ISSAC 2002).
+With m = t * lm(g_j) and c the coefficient of g_j there,
+
+    c * m * g_i = (t * g_i) * g_j - t * (g_j - c * x^lm(g_j)) * g_i,
+
+the syzygy t * (g_j e_i - g_i e_j): rows of the earlier g_j, and rows of
+g_i at monomials below m.  Its largest signature in position-over-term
+order is m e_i, so by induction on the signature the kept rows span what
+all products span, and every piece, which depends only on that span, is
+unchanged.  Mod P a dropped row can leave the span only when P divides
+c; then the rank test fails and the exact route decides.
+
 Both ideals are read by one builder, JacobianSystem._piece(D, T, shift):
 J0 at class(T) in the coordinates of S_D, through multiplication by
 x^shift, x = prod x_rho.  J0 at D is the piece (D, D, 0).  Multiplication
@@ -31,15 +46,28 @@ of S_D.  The builder tries, in this order:
 - one exact integer elimination (linalg.echelon) of the same rows,
   started at C.  A lower rank mod P proves nothing, since P may divide
   every maximal minor of a full piece.
+
+The commands that print only dim J1_D read it from j1_dim, which takes
+the builder's steps for J1 at D but tries two bounds mod P before the
+elimination (a rank mod P is at most the rank over Q, linalg.rank_mod).
+Let R be the rows of the J1 piece (at D - K, the monomials outside C
+first) and R_out those rows cut to the columns outside C.  Then
+dim J1_D = rank R - rank R_out <= #R - rank_P R_out, and dim J1_D <=
+s(D).  The ideal J of the partial derivatives lies in J1, since
+x * df/dx_rho = (x / x_rho) * g_rho, so the rank mod P of the rows
+m * df/dx_rho at D is a lower bound.  When the two bounds meet, that is
+the dimension, and no elimination runs.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add
+from math import prod
+from operator import add, ge, mul
 
 from .cox import CoxPolynomial, monomial_basis
-from .divisors import TorusDivisor, canonical_divisor, columns, is_nef, pic_class
+from .divisors import (TorusDivisor, canonical_divisor, class_vec, columns, is_nef,
+                       pic_class, ray_divisor)
 from .errors import InputError, InternalError
 from .fan import _det
 from .groebner import is_unit_ideal
@@ -209,19 +237,42 @@ class JacobianSystem:
     def _j0_rows(self, D, order):
         """The products m * g of class(D), g over the spanning Euler terms
         (f's denominators cleared), as sparse integer rows {column: int}
-        over the monomials in order.  They span J0 at class(D); the
-        products of the other Euler terms are dependent rows."""
+        over the monomials in order, less those the Koszul trim drops
+        (module docstring).  They span J0 at class(D); the products of the
+        other Euler terms are dependent rows."""
         column = {e: k for k, e in enumerate(order)}
+        terms = self._spanning_terms
+        leads = [max(e for e, _ in g) for g in terms]
+        rows = []
         try:
-            return [{column[tuple(map(add, e, m))]: c for e, c in g}
-                    for m in self._basis(D - self.beta_divisor)
-                    for g in self._spanning_terms]
+            for m in self._basis(D - self.beta_divisor):
+                for g, lead in zip(terms, leads):
+                    rows.append({column[tuple(map(add, e, m))]: c for e, c in g})
+                    if all(map(ge, m, lead)):  # the later terms' rows at m are dropped
+                        break
         except KeyError:
             raise InternalError("product landed outside the expected graded piece") from None
+        return rows
+
+    def _j_rows(self, D):
+        """The products m * df/dx_rho of class(D) (f's denominators
+        cleared), as sparse integer rows over the monomials of S_D."""
+        column = {e: k for k, e in enumerate(self._basis(D))}
+        for rho, g in enumerate(self._integral_terms):
+            if not g:
+                continue
+            # g holds e_rho * c at e; the derivative holds it at e - 1_rho
+            dg = [(e[:rho] + (e[rho] - 1,) + e[rho + 1:], c) for e, c in g]
+            for m in self._basis(D - self.beta_divisor + ray_divisor(self.fan, rho)):
+                yield {column[tuple(map(add, e, m))]: c for e, c in dg}
 
     def _spans_mod(self, rows, n):
         """Whether the rows have rank n mod P: True proves they span."""
         return linalg.spans_mod(rows, n, P)
+
+    def _rank_mod(self, rows, n):
+        """min(n, rank mod P) of the rows, at most their rank over Q."""
+        return linalg.rank_mod(rows, n, P)
 
     def _closed(self, T):
         """Whether closure proves J0 all of S_T (module docstring)."""
@@ -237,19 +288,31 @@ class JacobianSystem:
             return GradedSubspace((), {})
         if self._closed(T):
             return GradedSubspace.full(ambient)
-        order = ambient
+        order, rows = self._shifted_rows(D, T, shift)
+        if self._proved_full(T, rows, len(order)):
+            return GradedSubspace.full(ambient)
+        return GradedSubspace(ambient, linalg.echelon(rows, len(order) - len(ambient)))
+
+    def _proved_full(self, T, rows, n):
+        """Whether the rank test proves the J0 rows span all n monomials of
+        S_T; a nef T so proved starts closure."""
+        # fewer products than monomials cannot span
+        if len(rows) < n or not self._spans_mod(rows, n):
+            return False
+        if is_nef(self.fan, T):
+            self._full_nef.append(T)
+        return True
+
+    def _shifted_rows(self, D, T, shift):
+        """(order, rows): the monomials of S_T, for shift 1 those outside C
+        first and then x * S_D, and the J0 rows at class(T) over them."""
+        ambient = order = self._basis(D)
         if shift:
             order = [e for e in self._basis(T) if min(e) < shift]  # outside C
             order += [tuple(a + shift for a in e) for e in ambient]
             if len(order) != self.section_dim(T):
                 raise InternalError("shifted monomial missing from the target piece")
-        rows = self._j0_rows(T, order)
-        # fewer products than monomials cannot span
-        if len(rows) >= len(order) and self._spans_mod(rows, len(order)):
-            if is_nef(self.fan, T):
-                self._full_nef.append(T)
-            return GradedSubspace.full(ambient)
-        return GradedSubspace(ambient, linalg.echelon(rows, len(order) - len(ambient)))
+        return order, self._j0_rows(T, order)
 
     def j0_piece(self, D):
         """Graded piece of the Euler-term ideal at class(D)."""
@@ -260,6 +323,31 @@ class JacobianSystem:
         class(D) - class(K) (module docstring)."""
         return self._cached("j1", D, lambda D: self._piece(
             D, D - canonical_divisor(self.fan), 1))
+
+    def j1_dim(self, D):
+        """dim J1 at class(D): that of a built j1_piece, else the steps of
+        j1_piece with the two bounds mod P (module docstring) tried before
+        the elimination, whose piece is then kept as j1_piece's."""
+        return self._cached("j1 dim", D, self._j1_dim)
+
+    def _j1_dim(self, D):
+        piece = self._cache.get(("j1", pic_class(self.fan, D).vec))
+        if piece is not None:
+            return piece.dim
+        ambient = self._basis(D)
+        T = D - canonical_divisor(self.fan)
+        if not ambient or self._closed(T):
+            return len(ambient)
+        order, rows = self._shifted_rows(D, T, 1)
+        if self._proved_full(T, rows, len(order)):
+            return len(ambient)
+        start = len(order) - len(ambient)
+        outside = [{c: x for c, x in v.items() if c < start} for v in rows]
+        upper = min(len(rows) - self._rank_mod(outside, start), len(ambient))
+        if self._rank_mod(self._j_rows(D), upper) == upper:
+            return upper
+        return self._cached("j1", D, lambda D: GradedSubspace(
+            ambient, linalg.echelon(rows, start))).dim
 
     def _chart(self, i, j, whole):
         """The Euler terms on the chart of the cone of rays i and j, as
@@ -338,17 +426,36 @@ class JacobianSystem:
         """
         check_k_max(self.fan, k_max)
         gens = self.fan.irrelevant_generators()
-        products = {(0,) * self.fan.n}
+        # exponents in mixed radix, the first most significant: a product is
+        # the sum of its factors' codes, and integer order is tuple order
+        radix = [k_max * max(g[i] for g in gens) + 1 for i in range(self.fan.n)]
+        weights = [prod(radix[i + 1:]) for i in range(self.fan.n)]
+        codes = {sum(map(mul, g, weights)) for g in gens}
+        products = {0}
         for k in range(1, k_max + 1):
-            products = {tuple(a + b for a, b in zip(p, g))
-                        for p in products for g in gens}
-            # once per class: True when closure proves J0 full there, else the piece
-            tests = ((e, self._cached("closure or j0", TorusDivisor(e),
-                                      lambda D: self._closed(D) or self.j0_piece(D)))
-                     for e in sorted(products))
-            if all(t is True or not t.residual({e: 1}) for e, t in tests):
+            products = {p + c for p in products for c in codes}
+            if all(self._in_j0(self._decode(p, weights)) for p in sorted(products)):
                 return NondegeneracyVerdict("certified", k=k)
         return NondegeneracyVerdict("undetermined", k=k_max)
+
+    @staticmethod
+    def _decode(code, weights):
+        """The exponent tuple of a mixed-radix code."""
+        e = []
+        for w in weights:
+            x, code = divmod(code, w)
+            e.append(x)
+        return tuple(e)
+
+    def _in_j0(self, e):
+        """Whether x^e lies in J0, read once per class: a cached True when
+        closure proves J0 full there, else the cached J0 piece."""
+        key = ("closure or j0", class_vec(self.fan, e))
+        t = self._cache.get(key)
+        if t is None:
+            D = TorusDivisor(e)
+            t = self._cache[key] = self._closed(D) or self.j0_piece(D)
+        return t is True or not t.residual({e: 1})
 
     def multiplication_matrix(self, eta, D_from, D_to):
         """Matrix of multiplication by eta between quotient coset bases."""

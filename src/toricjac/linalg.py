@@ -10,9 +10,10 @@ rows stay as sparse as the piece's corank allows however dense the input.
 Both row arithmetics of the package live here, shared with groebner.
 Over Z, integral, eliminate and primitive serve echelon and the integer
 chart pass; mod a prime p, subtract_mod and primitive(v, lead, p) serve
-spans_mod and the modular chart pass.  spans_mod answers only the one
-question a residue can settle exactly: whether integer rows have full
-column rank; rank asks it before it eliminates.  reduce_vector reduces
+rank_mod and the modular chart pass.  rank_mod answers only what a
+residue settles exactly: the rank mod p of integer rows is a lower bound
+on their rank over Q, so rank n in n columns (spans_mod) proves full
+column rank; rank asks that before it eliminates.  reduce_vector reduces
 modulo its basis with one denominator.
 No library code calls rref, echelon's dense Fraction view, or kernel:
 they are test oracles, and perfbench/spans.py wraps them by name.
@@ -112,12 +113,12 @@ def echelon(rows, start):
     return {p - start: {c - start: x for c, x in b.items()} for p, b in basis.items()}
 
 
-def spans_mod(rows, n, p):
-    """Whether the integer rows {column: int} in n columns have rank n mod p.
+def rank_mod(rows, n, p):
+    """min(n, rank mod the prime p) of the integer rows {column: int}.
 
-    Forward elimination mod the prime p only, stopped at the n-th pivot.
-    Rank n mod p is a nonzero n-minor mod p, so that minor is a nonzero
-    integer and the rank over Q is n too.  False proves nothing over Q.
+    Forward elimination mod p only, stopped at the n-th pivot.  Rank r
+    mod p is a nonzero r-minor mod p, so that minor is a nonzero integer:
+    the result is a lower bound on the rank over Q.
     """
     pivots = {}
     for v in rows:
@@ -130,7 +131,13 @@ def spans_mod(rows, n, p):
                 pivots[lead] = primitive(v, lead, p)
                 break
             subtract_mod(v, pivots[lead], v[lead], p)
-    return len(pivots) == n
+    return len(pivots)
+
+
+def spans_mod(rows, n, p):
+    """Whether the integer rows in n columns have rank n mod p, which
+    proves rank n over Q (rank_mod).  False proves nothing over Q."""
+    return rank_mod(rows, n, p) == n
 
 
 def rref(rows, ncols):

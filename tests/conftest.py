@@ -14,6 +14,8 @@ value exists, cross-checked against it.
 import contextlib
 import importlib.util
 import io
+import signal
+import threading
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -329,6 +331,48 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+# The most seconds one phase of a test may run.  The slowest test takes
+# about 1.3 s; the loops of the chart Buchberger and of the modular
+# elimination end only when each step cancels its lead, so a broken step
+# would otherwise hang the suite.
+TEST_SECONDS = 60
+
+
+@contextlib.contextmanager
+def _time_limit():
+    """Fail once TEST_SECONDS pass, through SIGALRM: on POSIX and in the
+    main thread only, where Python handles signals."""
+    main = threading.current_thread() is threading.main_thread()
+    if not (hasattr(signal, "setitimer") and main):
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail(f"ran past the limit of {TEST_SECONDS} s", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_SECONDS)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# The limit wraps a test's setup, which builds the session fixtures it is
+# the first to use (family_reports runs the chart decision), and its call.
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_setup(item):
+    with _time_limit():
+        yield
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    with _time_limit():
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement, islice
 from math import lcm
 
 import pytest
@@ -13,10 +14,13 @@ from toricjac.fan import Fan, builtin_surface
 from toricjac.jacobian import JacobianSystem
 from toricjac import jacobian, linalg
 
-from conftest import (H2_TRIGONAL, TRIGONAL_D5, dense_reduce, euler_terms,
-                      j1_by_slicing, j1_dim_brute, j_piece, lambda_section,
-                      multiplication_rank, pairing_matrix, principal_divisor,
-                      r1_dim, random_smooth_fan, row_terms)
+from conftest import (H2_TRIGONAL, TRIGONAL_D5, dense_reduce, dense_section,
+                      euler_terms, j1_by_slicing, j1_dim_brute, j_piece,
+                      lambda_section, multiplication_rank, pairing_matrix,
+                      principal_divisor, r1_dim, random_smooth_fan, row_terms)
+import conftest
+from test_decide_reference import (DENSE, boundary_systems, lambda_systems,
+                                   nodal_systems, sparse_systems)
 
 
 def subspace_leq(small, big):
@@ -467,12 +471,14 @@ def test_j1_piece_equals_rref_then_slice(battery, generic_systems):
 def exact_only(sys_):
     """A fresh system on the same section whose pieces are all eliminated
     exactly, from the products of all n Euler terms: its rank test always
-    fails, and closure never proves a piece full."""
-    for name in ("_spans_mod", "_closed"):
+    fails, closure never proves a piece full, and its J1 bounds mod P
+    never meet above 0, so j1_dim eliminates."""
+    for name in ("_spans_mod", "_rank_mod", "_closed"):
         if not hasattr(JacobianSystem, name):
             raise AttributeError(f"JacobianSystem has no {name} proof to disable")
     exact = JacobianSystem(sys_.fan, sys_.f)
     exact._spans_mod = lambda rows, n: False
+    exact._rank_mod = lambda rows, n: 0
     exact._closed = lambda T: False
     exact._spanning_terms = tuple(g for g in exact._integral_terms if g)
     return exact
@@ -666,3 +672,125 @@ def test_certified_random_sections_are_nondegenerate(proofs):
             certified += 1
         degenerate += decision == "degenerate"
     assert certified >= 4 and degenerate >= 1
+
+
+def reference_systems(battery):
+    """(name, system): the battery, the sets of the nondegeneracy reference
+    tests (degenerate sections included) and dense anticanonical sections
+    on random smooth fans."""
+    systems = [(entry["name"], entry["sys"]) for entry in battery]
+    systems += [(f"lambda {k}", sys_) for k, sys_ in enumerate(lambda_systems())]
+    systems += [(f"sparse {k}", sys_) for k, sys_ in enumerate(sparse_systems(count=40))]
+    systems += [(f"nodal {k}", sys_)
+                for k, sys_ in enumerate(islice(nodal_systems(), 0, None, 8))]
+    systems += [(f"boundary {k}", sys_) for k, (sys_, _, _) in enumerate(boundary_systems())]
+    systems += [(f"dense {D}", JacobianSystem(fan, dense_section(fan, TorusDivisor(D))))
+                for fan, D in DENSE]
+    rng = random.Random(26)
+    for k in range(8):
+        fan = random_smooth_fan(rng, rng.randint(0, 2))
+        f = CoxPolynomial(fan, {e: rng.randint(-9, 9) or 1
+                                for e in monomial_basis(fan, -1 * canonical_divisor(fan))})
+        systems.append((f"random fan {k}", JacobianSystem(fan, f)))
+    return systems
+
+
+def all_products(sys_, T):
+    """Every product m * g of class(T), g over the system's spanning Euler
+    terms, as rows over the monomials of S_T: the rows before the trim."""
+    column = {e: k for k, e in enumerate(monomial_basis(sys_.fan, T))}
+    return [{column[tuple(a + b for a, b in zip(e, m))]: c for e, c in g}
+            for m in monomial_basis(sys_.fan, T - sys_.beta_divisor)
+            for g in sys_._spanning_terms]
+
+
+def saturation_classes(fan, k_max):
+    """One product of each class that saturation_certificate(k_max) reads."""
+    classes = {}
+    for k in range(1, k_max + 1):
+        for gens in combinations_with_replacement(fan.irrelevant_generators(), k):
+            e = tuple(map(sum, zip(*gens)))
+            classes.setdefault(pic_class(fan, TorusDivisor(e)).vec, TorusDivisor(e))
+    return list(classes.values())
+
+
+def test_koszul_trim_keeps_the_row_space(battery, s5):
+    # the kept rows have the echelon form of all products, with the
+    # spanning terms and with all n Euler terms (the exact reference's)
+    cases = [(name, sys_, []) for name, sys_ in reference_systems(battery)]
+    cases.append(("trigonal d=5 saturation", s5, saturation_classes(s5.fan, 9)))
+    dropped = 0
+    for name, sys_, extra in cases:
+        beta, K = sys_.beta_divisor, canonical_divisor(sys_.fan)
+        for system in (sys_, exact_only(sys_)):
+            for T in [2 * beta, 2 * beta + K, 3 * beta + K] + extra:
+                rows = system._j0_rows(T, monomial_basis(system.fan, T))
+                products = all_products(system, T)
+                assert linalg.echelon(rows, 0) == linalg.echelon(products, 0), (name, T)
+                dropped += len(products) - len(rows)
+    assert dropped > 1000, dropped
+
+
+def test_koszul_trim_row_counts_on_the_dense_sections(generic_systems):
+    # J1 at 2beta + K of the find-eta sections eliminates the rows at 2beta,
+    # and every kept row is independent there.  J1 at 3beta + 2K reads the
+    # rows at 3beta + K, which still outnumber the columns, so the rank test
+    # runs there and fails (r1(3beta + 2K) = 1)
+    counts = set()
+    for name, sys_ in generic_systems:
+        beta, K = sys_.beta_divisor, canonical_divisor(sys_.fan)
+        T = 2 * beta
+        rows = sys_._j0_rows(T, monomial_basis(sys_.fan, T))
+        assert len(rows) == len(linalg.echelon(rows, 0)), name
+        if "find-eta" in name:
+            top = monomial_basis(sys_.fan, 3 * beta + K)
+            counts.add((name.split()[3], len(rows),
+                        len(sys_._j0_rows(3 * beta + K, top)), len(top)))
+    assert counts == {("p1xp1", 72, 126, 121), ("hirzebruch:1", 63, 104, 100)}
+
+
+def bounds_decide(sys_, D):
+    """(dim, met): j1_dim on a fresh system, and whether it answered with
+    no elimination (the bounds met, or the piece is proved full)."""
+    fresh = JacobianSystem(sys_.fan, sys_.f)
+    dim = fresh.j1_dim(D)
+    return dim, ("j1", pic_class(fresh.fan, D).vec) not in fresh._cache
+
+
+def test_j1_bounds_meet_only_at_the_exact_dimension(battery):
+    # at beta, beta + K, 2beta + K and 2beta + 2K; the bounds decide an
+    # empty piece trivially, so only the nonzero dimensions are counted
+    met = 0
+    for name, sys_ in reference_systems(battery):
+        beta, K = sys_.beta_divisor, canonical_divisor(sys_.fan)
+        exact = exact_only(sys_)
+        for D in (beta, beta + K, 2 * beta + K, 2 * beta + 2 * K):
+            want = j1_dim_brute(exact, D)
+            assert exact.j1_dim(D) == want, (name, D)
+            dim, decided = bounds_decide(sys_, D)
+            assert dim == want, (name, D)
+            met += decided and want > 0
+    assert met >= 20, met
+
+
+def test_j1_bounds_decide_the_criterion_classes_of_dense_sections(generic_systems,
+                                                                   monkeypatch):
+    # both classes the criterion reads, on the benchmark's generic sections
+    # and on the dense p1xp1 w4:1 sections, whose dimensions were recorded
+    # from the exact elimination
+    def forbidden(*args):
+        raise AssertionError("the bounds must decide this class")
+
+    monkeypatch.setattr(JacobianSystem, "j1_piece", forbidden)
+    monkeypatch.setattr(linalg, "echelon", forbidden)
+    workloads = conftest._perfbench_workloads()
+    p1xp1 = builtin_surface("p1xp1")
+    systems = [(None, sys_) for _, sys_ in generic_systems]
+    for a, want in ((6, 39), (8, 95), (10, 175)):
+        text = workloads.dense_section_text(0, a, a, random.Random("w4:1"))
+        systems.append(((7, want), JacobianSystem(p1xp1, poly_from_text(p1xp1, text))))
+    for want, sys_ in systems:
+        beta, K = sys_.beta_divisor, canonical_divisor(sys_.fan)
+        dims = (sys_.j1_dim(beta), sys_.j1_dim(2 * beta + 2 * K))
+        assert want is None or dims == want
+    assert len(systems) == 3 + len(generic_systems) == 17
