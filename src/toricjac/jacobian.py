@@ -66,8 +66,8 @@ from math import prod
 from operator import add, ge, mul
 
 from .cox import CoxPolynomial, monomial_basis
-from .divisors import (TorusDivisor, canonical_divisor, class_vec, columns, is_nef,
-                       pic_class, ray_divisor)
+from .divisors import (TorusDivisor, canonical_divisor, class_vec, columns, intersect,
+                       is_nef, pic_class, ray_divisor)
 from .errors import InputError, InternalError
 from .fan import _det
 from .groebner import is_unit_ideal
@@ -423,18 +423,44 @@ class JacobianSystem:
         Nullstellensatz, so some power B^k lies in J0; 'undetermined'
         only means that k_max was below the least such k.  check_k_max
         refuses a k_max first.
+
+        Each power is tested by Picard class: its products grouped by
+        class, the classes in increasing Riemann-Roch chi(D) = 1 +
+        D.(D - K)/2 (ties by class vector), the products of a class in
+        exponent order.  The test of a power is still all() over the same
+        products, so the order cannot change whether a power passes, and
+        the least certifying k and the label are those of any order.  It
+        only changes the work: a failing power is refuted on one of its
+        smallest classes, and a small full class proved by the rank test
+        starts closure for the larger ones.  Closure is read once per
+        class before anything is listed, so a class it proves full is
+        never listed and no piece is built for it.
         """
         check_k_max(self.fan, k_max)
-        gens = self.fan.irrelevant_generators()
+        fan = self.fan
+        gens = fan.irrelevant_generators()
         # exponents in mixed radix, the first most significant: a product is
-        # the sum of its factors' codes, and integer order is tuple order
-        radix = [k_max * max(g[i] for g in gens) + 1 for i in range(self.fan.n)]
-        weights = [prod(radix[i + 1:]) for i in range(self.fan.n)]
-        codes = {sum(map(mul, g, weights)) for g in gens}
-        products = {0}
+        # the sum of its factors' codes, and integer order is tuple order;
+        # its class is the sum of its factors' classes
+        radix = [k_max * max(g[i] for g in gens) + 1 for i in range(fan.n)]
+        weights = [prod(radix[i + 1:]) for i in range(fan.n)]
+        steps = [(sum(map(mul, g, weights)), class_vec(fan, g)) for g in gens]
+        K = canonical_divisor(fan)
+
+        def chi_order(v):  # 2 chi(D) - 2, then the class vector
+            D = TorusDivisor((0, 0) + v)
+            return intersect(fan, D, D - K), v
+
+        products = {0: (0,) * (fan.n - 2)}
         for k in range(1, k_max + 1):
-            products = {p + c for p in products for c in codes}
-            if all(self._in_j0(self._decode(p, weights)) for p in sorted(products)):
+            products = {p + c: tuple(map(add, v, w))
+                        for p, v in products.items() for c, w in steps}
+            classes = {}
+            for p in sorted(products):
+                classes.setdefault(products[p], []).append(p)
+            order = sorted(classes, key=chi_order) if len(classes) > 1 else classes
+            if all(self._in_j0(v, [self._decode(p, weights) for p in classes[v]])
+                   for v in order):
                 return NondegeneracyVerdict("certified", k=k)
         return NondegeneracyVerdict("undetermined", k=k_max)
 
@@ -447,15 +473,18 @@ class JacobianSystem:
             e.append(x)
         return tuple(e)
 
-    def _in_j0(self, e):
-        """Whether x^e lies in J0, read once per class: a cached True when
-        closure proves J0 full there, else the cached J0 piece."""
-        key = ("closure or j0", class_vec(self.fan, e))
+    def _in_j0(self, v, monomials):
+        """Whether every x^e, e in monomials, of class v lies in J0, read
+        once per class: a cached True when closure proves J0 full there,
+        else the cached J0 piece.  In its reduced echelon basis x^e is a
+        member exactly when the column of e is a pivot whose row is that
+        unit vector."""
+        key = ("closure or j0", v)
         t = self._cache.get(key)
         if t is None:
-            D = TorusDivisor(e)
+            D = TorusDivisor(monomials[0])
             t = self._cache[key] = self._closed(D) or self.j0_piece(D)
-        return t is True or not t.residual({e: 1})
+        return t is True or all(len(t.basis.get(t.columns[e], ())) == 1 for e in monomials)
 
     def multiplication_matrix(self, eta, D_from, D_to):
         """Matrix of multiplication by eta between quotient coset bases."""

@@ -1,7 +1,8 @@
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, islice
+from itertools import combinations_with_replacement, islice, product
 from math import lcm
 
 import pytest
@@ -511,14 +512,17 @@ def proofs(monkeypatch):
     return proved
 
 
-def read_pieces(sys_, k_max, top):
+def read_pieces(sys_, k_max, top, classes=()):
     """The J0 and J1 pieces at beta, beta + K, 2beta + K, 2beta + 2K and, if
-    top, 3beta + 2K, with those that saturation_certificate(k_max) builds."""
+    top, 3beta + 2K, with those that saturation_certificate(k_max) builds,
+    and then the J0 pieces at the given class vectors."""
     beta, K = sys_.beta_divisor, canonical_divisor(sys_.fan)
     for D in [beta, beta + K, 2 * beta + K, 2 * beta + 2 * K] + [3 * beta + 2 * K] * top:
         sys_.j0_piece(D)
         sys_.j1_piece(D)
     sys_.saturation_certificate(k_max)
+    for v in classes:
+        sys_.j0_piece(TorusDivisor((0, 0) + v))
     return pieces_of(sys_)
 
 
@@ -539,15 +543,37 @@ def assert_same_pieces(pieces, reference, name):
             assert piece.dim == len(piece.ambient), (name, key)
 
 
+# The classes of B^k, k <= 9, on these battery sections, in the order a
+# walk of each power's products in exponent order reads them.  Most are
+# large classes (up to 92 monomials) that the certificate never reads,
+# since it refutes each failing power on a smaller class; reading them
+# after the certificate keeps the rank test and closure proving large
+# pieces against the exact reference.
+LARGE_CERTIFICATE_CLASSES = {
+    "h1-trigonal-d5": [(1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (5, 6), (7, 7),
+                       (6, 7), (5, 7), (8, 8), (7, 8), (6, 8), (5, 8), (4, 8), (3, 8),
+                       (2, 8), (9, 9), (8, 9), (7, 9), (6, 9), (5, 9), (4, 9), (3, 9),
+                       (2, 9), (1, 9), (0, 9)],
+    "h1-trigonal-d7": [(1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (7, 7), (6, 7),
+                       (5, 7), (8, 8), (7, 8), (6, 8), (5, 8), (9, 9), (8, 9), (7, 9),
+                       (6, 9), (5, 9)],
+    "h2-trigonal-d7": [(1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (4, 6), (7, 7),
+                       (5, 7), (3, 7), (8, 8), (6, 8), (4, 8), (2, 8), (0, 8), (9, 9),
+                       (7, 9), (5, 9), (3, 9), (1, 9), (-1, 9), (-3, 9)],
+}
+
+
 def test_full_piece_proofs_never_change_a_piece(battery, generic_systems, monkeypatch,
                                                 proofs):
     # whatever the prime of the rank test, every piece equals the exact
     # elimination of the products of all n Euler terms; the battery's certificates run to k = 9,
     # where trigonal d=5 certifies, and it also reads the top class 3beta + 2K
-    systems = [(entry["name"], entry["sys"], 9, True) for entry in battery]
-    systems += [(name, sys_, 3, False) for name, sys_ in generic_systems]
-    references = [read_pieces(exact_only(sys_), k_max, top)
-                  for _, sys_, k_max, top in systems]
+    # and the large certificate classes
+    systems = [(entry["name"], entry["sys"], 9, True,
+                LARGE_CERTIFICATE_CLASSES.get(entry["name"], ())) for entry in battery]
+    systems += [(name, sys_, 3, False, ()) for name, sys_ in generic_systems]
+    references = [read_pieces(exact_only(sys_), k_max, top, classes)
+                  for _, sys_, k_max, top, classes in systems]
     assert proofs == []
     # the shipping prime is a prime below 2**30, so its residues are single
     # CPython digits, and the chart decision reads the same one
@@ -557,10 +583,11 @@ def test_full_piece_proofs_never_change_a_piece(battery, generic_systems, monkey
     for prime in (2, 3, 2**31 - 1, linalg.P):
         monkeypatch.setattr(jacobian, "P", prime)
         proofs.clear()
-        for (name, sys_, k_max, top), reference in zip(systems, references):
+        for (name, sys_, k_max, top, classes), reference in zip(systems, references):
             fresh = JacobianSystem(sys_.fan, sys_.f)
             assert len(fresh._spanning_terms) <= 3, name
-            assert_same_pieces(read_pieces(fresh, k_max, top), reference, (name, prime))
+            assert_same_pieces(read_pieces(fresh, k_max, top, classes), reference,
+                               (name, prime))
         proved[prime] = len(proofs)
     # the proofs, by the rank test or by closure from one, were taken (mod 3
     # the trigonal Euler terms drop their exponent-3 terms, and no piece has
@@ -569,9 +596,10 @@ def test_full_piece_proofs_never_change_a_piece(battery, generic_systems, monkey
 
 
 def test_closure_proves_most_full_pieces(h1, monkeypatch, proofs):
-    # the certificate's classes on trigonal d=5: the rank test proves a few
-    # small J0 pieces full, and closure proves the larger classes from them
-    # without building a piece
+    # the certificate's classes on trigonal d=5: B^9 holds its smaller
+    # classes in J0 pieces that are not full, the rank test proves the next
+    # one full, and closure proves the six larger ones from it without
+    # building a piece
     sys_ = JacobianSystem(h1, poly_from_text(h1, TRIGONAL_D5))
     ranked, built = [], []
     spans_mod, j0_rows = linalg.spans_mod, JacobianSystem._j0_rows
@@ -592,9 +620,9 @@ def test_closure_proves_most_full_pieces(h1, monkeypatch, proofs):
     closure = [proof for proof in proofs if proof[0] == "closure"]
     # each full class is proved once: by the rank test, with a full piece,
     # or by closure, with none
-    assert len(full) + len(closure) == len(proofs) == 15
-    assert len(full) == sum(ranked)
-    assert len(closure) >= 10, sum(ranked)
+    assert len(full) + len(closure) == len(proofs) == 7
+    assert len(full) == sum(ranked) == 1
+    assert len(closure) == 6
     # every piece writes its rows once, also when a failed rank test
     # precedes its elimination
     assert len(ranked) > sum(ranked)
@@ -616,7 +644,7 @@ def test_closure_proved_classes_are_never_listed(h1, monkeypatch, proofs):
     monkeypatch.setattr(jacobian, "monomial_basis", counted)
     assert sys_.saturation_certificate(9).label == "certified(9)"
     closed = [cls for kind, cls in proofs if kind == "closure"]
-    assert len(closed) >= 10
+    assert len(closed) == 6
     assert not listed.keys() & set(closed), listed
     assert set(listed.values()) == {1}
 
@@ -672,6 +700,63 @@ def test_certified_random_sections_are_nondegenerate(proofs):
             certified += 1
         degenerate += decision == "degenerate"
     assert certified >= 4 and degenerate >= 1
+
+
+def least_ample(fan):
+    """The ample divisor of least h0 (the first in product order on ties)
+    with coefficients in 1..m, for the least m that has one: (1, ..., 1) =
+    -K on a del Pezzo fan, where ampleness of (m, ..., m) does not depend
+    on m, and an ample divisor near it on the others (F_2, F_3 and some
+    blow-ups)."""
+    for m in range(1, 5):
+        ample = [D for D in map(TorusDivisor, product(range(1, m + 1), repeat=fan.n))
+                 if is_ample(fan, D)]
+        if ample:
+            return min(ample, key=lambda D: h0(fan, D))
+    raise AssertionError("no ample divisor with coefficients up to 4")
+
+
+def reference_certificate_label(sys_, k_max):
+    """The certificate's label from each power's products in plain exponent
+    order, each read from the exact piece of its class."""
+    exact = exact_only(sys_)
+    gens = sys_.fan.irrelevant_generators()
+    for k in range(1, k_max + 1):
+        products = sorted({tuple(map(sum, zip(*factors)))
+                           for factors in combinations_with_replacement(gens, k)})
+        if all(not exact.j0_piece(TorusDivisor(e)).residual({e: 1}) for e in products):
+            return f"certified({k})"
+    return f"undetermined(k_max={k_max})"
+
+
+# sha256 of the table of test_certificate_class_order_never_changes_a_label
+CERTIFICATE_TABLE_SHA256 = "c94f353d07a85cb577338f59d37459ffaa3fb97fa5b73a90ef89544441593d2f"
+
+
+def test_certificate_class_order_never_changes_a_label():
+    # dense sections at least_ample on random smooth fans (P2 and F_0..F_3
+    # with up to two blow-ups), each with a degenerate section of the same
+    # class beside it (a double root on one boundary curve): the certificate,
+    # which tests each power class by class in chi order, gives the label
+    # of the plain loop over exact pieces
+    table = []
+    for seed in range(11):
+        rng = random.Random(seed)
+        fan = random_smooth_fan(rng, rng.randint(0, 2))
+        D = least_ample(fan)
+        f = CoxPolynomial(fan, {e: rng.randint(-9, 9) or 1 for e in monomial_basis(fan, D)})
+        systems = [("dense", JacobianSystem(fan, f))]
+        systems += [("degenerate", sys_) for sys_, _, _ in
+                    islice(boundary_systems([(fan, D.coeffs)], seed), 1)]
+        for kind, sys_ in systems:
+            label = sys_.saturation_certificate(6).label
+            assert label == reference_certificate_label(sys_, 6), (seed, kind)
+            table.append((seed, kind, fan.rays, D.coeffs, label))
+    labels = Counter(label for *_, label in table)
+    assert labels["certified(6)"] >= 2 and labels["certified(5)"] >= 1, labels
+    assert sum(kind == "degenerate" for _, kind, *_ in table) >= 10
+    digest = hashlib.sha256(repr(table).encode()).hexdigest()
+    assert digest == CERTIFICATE_TABLE_SHA256, (digest, table)
 
 
 def reference_systems(battery):
