@@ -11,7 +11,6 @@ then searches for one by seeded sampling.
 """
 
 import random
-from dataclasses import dataclass, field
 
 from . import linalg
 from .cox import CoxPolynomial, monomial_basis, poly_from_text
@@ -20,27 +19,24 @@ from .divisors import (TorusDivisor, canonical_divisor, divisor_from_labels,
 from .errors import InputError, InternalError
 from .fan import build_hirzebruch
 from .jacobian import JacobianSystem
+from .record import Record
 
 DEFAULT_SEED = 1729
 
 
-@dataclass
-class CriterionReport:
+class CriterionReport(Record):
     """Everything the certification computed, in report order."""
 
-    mode: str
-    surface: dict
-    beta_divisor: tuple
-    beta_class: tuple
-    genus: int
-    dims: dict
-    preconditions: dict
-    nondegeneracy: object
-    beta_dot_k: int
-    bound_value: int
-    quick_threshold: int
-    verdict: str
-    failed_preconditions: tuple
+    _fields = ("mode", "surface", "beta_divisor", "beta_class", "genus", "dims",
+               "preconditions", "nondegeneracy", "beta_dot_k", "bound_value",
+               "quick_threshold", "verdict", "failed_preconditions")
+
+    def __init__(self, mode, surface, beta_divisor, beta_class, genus, dims, preconditions,
+                 nondegeneracy, beta_dot_k, bound_value, quick_threshold, verdict,
+                 failed_preconditions):
+        self._set(mode, surface, beta_divisor, beta_class, genus, dims, preconditions,
+                  nondegeneracy, beta_dot_k, bound_value, quick_threshold, verdict,
+                  failed_preconditions)
 
     def to_dict(self):
         return {
@@ -177,18 +173,15 @@ def quick_criterion(fan, D_beta, f):
     return report
 
 
-@dataclass
-class DeformationSearch:
+class DeformationSearch(Record):
     """Result of the seeded search for a maximal-rank deformation class;
     rank is g when found, the best rank seen otherwise."""
 
-    found: bool
-    rank: int
-    genus: int
-    attempts_used: int
-    seed: int
-    eta: object = None
-    matrix: tuple = field(default=None, repr=False)
+    _fields = ("found", "rank", "genus", "attempts_used", "seed", "eta", "matrix")
+    _shown = _fields[:-1]  # the matrix is left out of the repr
+
+    def __init__(self, found, rank, genus, attempts_used, seed, eta=None, matrix=None):
+        self._set(found, rank, genus, attempts_used, seed, eta, matrix)
 
     def to_dict(self):
         out = {

@@ -1,12 +1,12 @@
 """Divisors on a toric surface: Picard classes, intersection numbers,
 ampleness and nefness, section polytopes and adjunction."""
 
-from dataclasses import dataclass
 from itertools import combinations
 from operator import mul
 
 from .errors import InputError, InternalError
 from .fan import _det, _tuple
+from .record import Value
 
 # The most monomials a graded piece may list: every basis is read from
 # columns, so every command refuses a larger piece before listing it.
@@ -21,14 +21,13 @@ def _int_tuple(values, what):
     return values
 
 
-@dataclass(frozen=True)
-class TorusDivisor:
+class TorusDivisor(Value):
     """Torus-invariant divisor: one integer coefficient per stored ray."""
 
-    coeffs: tuple
+    __slots__ = _fields = ("coeffs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _int_tuple(self.coeffs, "divisor"))
+    def __init__(self, coeffs):
+        object.__setattr__(self, "coeffs", _int_tuple(coeffs, "divisor"))
 
     def _pairs(self, other):
         if len(self.coeffs) != len(other.coeffs):
@@ -48,15 +47,14 @@ class TorusDivisor:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class PicClass:
+class PicClass(Value):
     """Picard class in the fixed per-fan basis (basis_id is the fan's rays)."""
 
-    vec: tuple
-    basis_id: tuple
+    __slots__ = _fields = ("vec", "basis_id")
 
-    def __post_init__(self):
-        object.__setattr__(self, "vec", _int_tuple(self.vec, "Picard class"))
+    def __init__(self, vec, basis_id):
+        object.__setattr__(self, "vec", _int_tuple(vec, "Picard class"))
+        object.__setattr__(self, "basis_id", basis_id)
 
 
 def _check_len(fan, D):

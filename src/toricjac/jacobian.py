@@ -56,10 +56,15 @@ dim J1_D = rank R - rank R_out <= #R - rank_P R_out, and dim J1_D <=
 s(D).  The ideal J of the partial derivatives lies in J1, since
 x * df/dx_rho = (x / x_rho) * g_rho, so the rank mod P of the rows
 m * df/dx_rho at D is a lower bound.  When the two bounds meet, that is
-the dimension, and no elimination runs.
+the dimension, and no elimination runs.  When they miss, the upper
+bound is still exact if the rows are independent and R_out has full
+column rank: rank_P R = #R and rank_P R_out = #(columns outside C) prove
+the same ranks over Q, so dim J1_D = #R - #(columns outside C), which is
+the upper bound, since it is at most s(D).  That case needs fewer rows
+than columns: more cannot be independent, and as many were shown
+dependent by the failed rank test, so it skips the rank of R.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import prod
@@ -71,6 +76,7 @@ from .divisors import (TorusDivisor, canonical_divisor, class_vec, columns, inte
 from .errors import InputError, InternalError
 from .fan import _det
 from .groebner import is_unit_ideal
+from .record import Value
 from . import linalg
 
 # The prime of the modular chart decision and of the full-rank test.  Any
@@ -88,17 +94,19 @@ def check_k_max(fan, k_max):
         columns(fan, k_max * TorusDivisor(g))
 
 
-@dataclass(frozen=True)
-class GradedSubspace:
+class GradedSubspace(Value):
     """A subspace of one graded piece of the Cox ring.
 
     ambient lists the exponent tuples of the monomial basis; basis is a
     reduced echelon basis in those coordinates, {pivot: integer row} as
-    linalg.echelon returns it.
+    linalg.echelon returns it.  Unhashable, since basis is a dict.
     """
 
-    ambient: tuple
-    basis: dict
+    _fields = ("ambient", "basis")  # no __slots__: cached_property needs __dict__
+
+    def __init__(self, ambient, basis):
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "basis", basis)
 
     @classmethod
     def full(cls, ambient):
@@ -150,8 +158,7 @@ class GradedSubspace:
         }
 
 
-@dataclass(frozen=True)
-class NondegeneracyVerdict:
+class NondegeneracyVerdict(Value):
     """Outcome of a nondegeneracy test.
 
     status is one of 'nondegenerate', 'degenerate' (exact chart decision),
@@ -159,9 +166,12 @@ class NondegeneracyVerdict:
     'undetermined' (no certificate up to k = k_max).
     """
 
-    status: str
-    k: int = None
-    witness: str = None
+    __slots__ = _fields = ("status", "k", "witness")
+
+    def __init__(self, status, k=None, witness=None):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "witness", witness)
 
     @property
     def label(self):
@@ -326,8 +336,9 @@ class JacobianSystem:
 
     def j1_dim(self, D):
         """dim J1 at class(D): that of a built j1_piece, else the steps of
-        j1_piece with the two bounds mod P (module docstring) tried before
-        the elimination, whose piece is then kept as j1_piece's."""
+        j1_piece with the two bounds mod P, and the upper bound's exact case
+        of independent rows (module docstring), tried before the
+        elimination, whose piece is then kept as j1_piece's."""
         return self._cached("j1 dim", D, self._j1_dim)
 
     def _j1_dim(self, D):
@@ -343,9 +354,13 @@ class JacobianSystem:
             return len(ambient)
         start = len(order) - len(ambient)
         outside = [{c: x for c, x in v.items() if c < start} for v in rows]
-        upper = min(len(rows) - self._rank_mod(outside, start), len(ambient))
+        outside_rank = self._rank_mod(outside, start)
+        upper = min(len(rows) - outside_rank, len(ambient))
         if self._rank_mod(self._j_rows(D), upper) == upper:
             return upper
+        if (outside_rank == start and len(rows) < len(order)
+                and self._rank_mod(rows, len(rows)) == len(rows)):
+            return upper  # independent rows: the upper bound is exact
         return self._cached("j1", D, lambda D: GradedSubspace(
             ambient, linalg.echelon(rows, start))).dim
 

@@ -274,6 +274,27 @@ def test_import_builds_no_parser():
     assert done.stdout.split() == ["0", "9", "9"], done.stderr
 
 
+def test_import_loads_no_dataclasses_or_inspect():
+    # The modules a fresh interpreter's import of the CLI adds to those it
+    # started with, which are those of `python -c pass`.  dataclasses and
+    # the modules it imports cost about a third of the import, so they stay
+    # out; the CLI's own imports stay at module level, so a command pays
+    # no import the start-up time leaves out.
+    probe = ("import sys\n"
+             "before = set(sys.modules)\n"
+             "import toricjac.cli\n"
+             "print(*sorted(before))\n"
+             "print(*sorted(sys.modules))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True)
+    before, after = (set(line.split()) for line in done.stdout.splitlines())
+    added = after - before
+    assert "toricjac.cli" in added, done.stderr
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}, added
+    assert {"argparse", "json", "fractions", "random", "re"} <= after, added
+
+
 def test_interleaved_commands_carry_no_state():
     pairs = [
         (["find-eta", "--class", "5,3", "--poly", TRIGONAL_D5] + H1, ["--seed", "7"]),

@@ -858,6 +858,70 @@ def test_j1_bounds_meet_only_at_the_exact_dimension(battery):
     assert met >= 20, met
 
 
+def j1_dim_ranks(sys_, D):
+    """(dim, ranks, eliminated): j1_dim on a fresh system, the (n, result)
+    of each rank mod P it takes, and whether it eliminated.  A third rank
+    is the independence test of the rows, after the two bounds."""
+    fresh = JacobianSystem(sys_.fan, sys_.f)
+    ranks = []
+
+    def rank_mod(rows, n):
+        ranks.append((n, JacobianSystem._rank_mod(fresh, rows, n)))
+        return ranks[-1][1]
+
+    fresh._rank_mod = rank_mod
+    dim = fresh.j1_dim(D)
+    return dim, ranks, ("j1", pic_class(fresh.fan, D).vec) in fresh._cache
+
+
+def test_independent_rows_make_the_upper_bound_exact():
+    # dense sections at small ample classes on random smooth fans, at six
+    # classes each: where the bounds miss and the rows are independent mod
+    # P, j1_dim answers with the upper bound and no elimination, and that
+    # is the exact dimension; where the rows are dependent (at beta - K on
+    # two draws) the upper bound is too large, so j1_dim eliminates
+    rng = random.Random(4)
+    taken = refused = draws = 0
+    while draws < 24:
+        fan = random_smooth_fan(rng, rng.randint(0, 2))
+        beta = TorusDivisor(tuple(rng.randint(0, 3) for _ in range(fan.n)))
+        if not is_ample(fan, beta) or not 3 <= h0(fan, beta) <= 30:
+            continue
+        draws += 1
+        sys_ = JacobianSystem(fan, CoxPolynomial(
+            fan, {e: rng.choice((-3, -2, -1, 1, 2, 3)) for e in monomial_basis(fan, beta)}))
+        exact, K = exact_only(sys_), canonical_divisor(fan)
+        for D in (beta - K, beta, beta + K, 2 * beta + K, 2 * beta + 2 * K, 3 * beta + 2 * K):
+            dim, ranks, eliminated = j1_dim_ranks(sys_, D)
+            assert dim == exact.j1_dim(D), (fan.rays, beta.coeffs, D.coeffs)
+            if len(ranks) == 3:
+                n, rank = ranks[2]
+                taken += rank == n
+                refused += rank < n
+                assert eliminated == (rank < n), (fan.rays, beta.coeffs, D.coeffs)
+    assert taken >= 15 and refused >= 2, (taken, refused)
+
+
+def test_independent_rows_decide_2beta_plus_k_on_the_generic_sections(generic_systems,
+                                                                       monkeypatch):
+    # the bounds miss at 2beta + K on every benchmark section (on the
+    # seed-1 find-eta ones J is one short of J1 there), and the rows are
+    # independent, so j1_dim answers with no elimination; the dimensions
+    # are the exact ones
+    want = {name: exact_only(sys_).j1_dim(2 * sys_.beta_divisor + canonical_divisor(sys_.fan))
+            for name, sys_ in generic_systems}
+
+    def forbidden(*args):
+        raise AssertionError("the upper bound must decide this class")
+
+    monkeypatch.setattr(linalg, "echelon", forbidden)
+    for name, sys_ in generic_systems:
+        D = 2 * sys_.beta_divisor + canonical_divisor(sys_.fan)
+        dim, ranks, _ = j1_dim_ranks(sys_, D)
+        assert dim == want[name] and len(ranks) == 3, name
+    assert [want[name] for name, _ in generic_systems[:2]] == [40, 33]
+
+
 def test_j1_bounds_decide_the_criterion_classes_of_dense_sections(generic_systems,
                                                                    monkeypatch):
     # both classes the criterion reads, on the benchmark's generic sections
