@@ -12,8 +12,8 @@ import json
 import re
 import sys
 
-from .criterion import (DEFAULT_SEED, evaluate, find_rank_g_deformation,
-                        quick_criterion, trigonal_family_table)
+from .criterion import (DEFAULT_ATTEMPTS, DEFAULT_SEED, TABLE_DEGREES, evaluate,
+                        find_rank_g_deformation, quick_criterion, trigonal_family_table)
 from .cox import monomial_basis, poly_from_json, poly_from_text
 from .divisors import (TorusDivisor, canonical_divisor, divisor_from_labels,
                        intersect, pic_class, representative, PicClass)
@@ -302,11 +302,11 @@ _COMMANDS = {
                         (*SURFACE, *CLASS, *POLY)),
     "find-eta": (_cmd_find_eta, "search for a rank-g deformation class", (
         *SURFACE, *CLASS, *POLY,
-        _opt("--attempts", type=int, default=32),
+        _opt("--attempts", type=int, default=DEFAULT_ATTEMPTS),
         _opt("--seed", type=int, default=DEFAULT_SEED))),
     "paper-table": (_cmd_paper_table, "dimension table of the built-in trigonal family", (
-        _opt("--dmin", type=int, default=5),
-        _opt("--dmax", type=int, default=10))),
+        _opt("--dmin", type=int, default=TABLE_DEGREES.start),
+        _opt("--dmax", type=int, default=TABLE_DEGREES[-1]))),
 }
 
 

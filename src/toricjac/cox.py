@@ -40,7 +40,8 @@ def monomial_basis(fan, D):
 class CoxPolynomial:
     """Sparse Cox-ring polynomial: a checked map from exponent tuples to
     nonzero Fraction coefficients.  It has no arithmetic operators; the
-    library only reads its terms."""
+    library only reads its terms.  Equal to a polynomial with the same
+    terms on a fan with the same rays and labels; unhashable."""
 
     __slots__ = ("fan", "terms", "_class")
 
@@ -106,6 +107,12 @@ class CoxPolynomial:
     def to_json(self):
         return {"terms": [{"exps": list(e), "coeff": str(c)}
                           for e, c in self.sorted_terms()]}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.terms, self.fan.rays, self.fan.labels)
+                == (other.terms, other.fan.rays, other.fan.labels))
 
     def __repr__(self):
         return f"CoxPolynomial({self.to_text()})"

@@ -22,6 +22,8 @@ from .jacobian import JacobianSystem
 from .record import Record
 
 DEFAULT_SEED = 1729
+DEFAULT_ATTEMPTS = 32
+TABLE_DEGREES = range(5, 11)  # paper-table's default d range
 
 
 class CriterionReport(Record):
@@ -200,7 +202,7 @@ class DeformationSearch(Record):
         return out
 
 
-def find_rank_g_deformation(fan, D_beta, f, attempts=32, seed=DEFAULT_SEED):
+def find_rank_g_deformation(fan, D_beta, f, attempts=DEFAULT_ATTEMPTS, seed=DEFAULT_SEED):
     """Search for eta in S_beta whose multiplication map has rank g.
 
     Only runs when evaluate() certifies the bound; coefficients are drawn
@@ -253,7 +255,7 @@ def trigonal_fixture(d):
     return fan, D, trigonal_section(fan, d)
 
 
-def trigonal_family_table(d_values=range(5, 11)):
+def trigonal_family_table(d_values=TABLE_DEGREES):
     """Dimension table of the trigonal family, one row per degree d."""
     rows = []
     for d in d_values:

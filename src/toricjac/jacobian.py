@@ -48,8 +48,9 @@ of S_D.  The builder tries, in this order:
   every maximal minor of a full piece.
 
 The commands that print only dim J1_D read it from j1_dim, which takes
-the builder's steps for J1 at D but tries two bounds mod P before the
-elimination (a rank mod P is at most the rank over Q, linalg.rank_mod).
+the builder's steps for J1 at D through the same helper, _unproved, but
+tries two bounds mod P before the elimination (a rank mod P is at most
+the rank over Q, linalg.rank_mod).
 Let R be the rows of the J1 piece (at D - K, the monomials outside C
 first) and R_out those rows cut to the columns outside C.  Then
 dim J1_D = rank R - rank R_out <= #R - rank_P R_out, and dim J1_D <=
@@ -276,10 +277,6 @@ class JacobianSystem:
             for m in self._basis(D - self.beta_divisor + ray_divisor(self.fan, rho)):
                 yield {column[tuple(map(add, e, m))]: c for e, c in dg}
 
-    def _spans_mod(self, rows, n):
-        """Whether the rows have rank n mod P: True proves they span."""
-        return linalg.spans_mod(rows, n, P)
-
     def _rank_mod(self, rows, n):
         """min(n, rank mod P) of the rows, at most their rank over Q."""
         return linalg.rank_mod(rows, n, P)
@@ -293,36 +290,38 @@ class JacobianSystem:
         by prod x_rho^shift: closure, the rank test, or one elimination
         (module docstring).  A piece of shift 0 is written over its own
         monomials."""
-        ambient = self._basis(D)
-        if not ambient:
-            return GradedSubspace((), {})
-        if self._closed(T):
+        ambient, rows, start = self._unproved(D, T, shift)
+        if rows is None:
             return GradedSubspace.full(ambient)
-        order, rows = self._shifted_rows(D, T, shift)
-        if self._proved_full(T, rows, len(order)):
-            return GradedSubspace.full(ambient)
-        return GradedSubspace(ambient, linalg.echelon(rows, len(order) - len(ambient)))
+        return GradedSubspace(ambient, linalg.echelon(rows, start))
 
-    def _proved_full(self, T, rows, n):
-        """Whether the rank test proves the J0 rows span all n monomials of
-        S_T; a nef T so proved starts closure."""
-        # fewer products than monomials cannot span
-        if len(rows) < n or not self._spans_mod(rows, n):
-            return False
-        if is_nef(self.fan, T):
-            self._full_nef.append(T)
-        return True
-
-    def _shifted_rows(self, D, T, shift):
-        """(order, rows): the monomials of S_T, for shift 1 those outside C
-        first and then x * S_D, and the J0 rows at class(T) over them."""
+    def _unproved(self, D, T, shift):
+        """(ambient, rows, start): the monomials of S_D, and the J0 rows at
+        class(T) over the monomials of S_T, for shift 1 those outside C
+        first and then x * S_D from column start.  rows is None when the
+        piece is empty or closure or the rank test proves J0 all of S_T."""
         ambient = order = self._basis(D)
+        if not ambient or self._closed(T):
+            return ambient, None, 0
         if shift:
             order = [e for e in self._basis(T) if min(e) < shift]  # outside C
             order += [tuple(a + shift for a in e) for e in ambient]
             if len(order) != self.section_dim(T):
                 raise InternalError("shifted monomial missing from the target piece")
-        return order, self._j0_rows(T, order)
+        rows = self._j0_rows(T, order)
+        if self._proved_full(T, rows, len(order)):
+            return ambient, None, 0
+        return ambient, rows, len(order) - len(ambient)
+
+    def _proved_full(self, T, rows, n):
+        """Whether the rank test proves the J0 rows span all n monomials of
+        S_T; a nef T so proved starts closure."""
+        # fewer products than monomials cannot span
+        if len(rows) < n or self._rank_mod(rows, n) < n:
+            return False
+        if is_nef(self.fan, T):
+            self._full_nef.append(T)
+        return True
 
     def j0_piece(self, D):
         """Graded piece of the Euler-term ideal at class(D)."""
@@ -345,20 +344,15 @@ class JacobianSystem:
         piece = self._cache.get(("j1", pic_class(self.fan, D).vec))
         if piece is not None:
             return piece.dim
-        ambient = self._basis(D)
-        T = D - canonical_divisor(self.fan)
-        if not ambient or self._closed(T):
+        ambient, rows, start = self._unproved(D, D - canonical_divisor(self.fan), 1)
+        if rows is None:
             return len(ambient)
-        order, rows = self._shifted_rows(D, T, 1)
-        if self._proved_full(T, rows, len(order)):
-            return len(ambient)
-        start = len(order) - len(ambient)
         outside = [{c: x for c, x in v.items() if c < start} for v in rows]
         outside_rank = self._rank_mod(outside, start)
         upper = min(len(rows) - outside_rank, len(ambient))
         if self._rank_mod(self._j_rows(D), upper) == upper:
             return upper
-        if (outside_rank == start and len(rows) < len(order)
+        if (outside_rank == start and len(rows) < start + len(ambient)
                 and self._rank_mod(rows, len(rows)) == len(rows)):
             return upper  # independent rows: the upper bound is exact
         return self._cached("j1", D, lambda D: GradedSubspace(

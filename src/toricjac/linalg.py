@@ -12,9 +12,9 @@ Over Z, integral, eliminate and primitive serve echelon and the integer
 chart pass; mod a prime p, subtract_mod and primitive(v, lead, p) serve
 rank_mod and the modular chart pass.  rank_mod answers only what a
 residue settles exactly: the rank mod p of integer rows is a lower bound
-on their rank over Q, so rank n in n columns (spans_mod) proves full
-column rank; rank asks that before it eliminates.  reduce_vector reduces
-modulo its basis with one denominator.
+on their rank over Q, so rank n in n columns proves full column rank;
+rank asks that before it eliminates.  reduce_vector reduces modulo its
+basis with one denominator.
 No library code calls rref, echelon's dense Fraction view, or kernel:
 they are test oracles, and perfbench/spans.py wraps them by name.
 """
@@ -134,12 +134,6 @@ def rank_mod(rows, n, p):
     return len(pivots)
 
 
-def spans_mod(rows, n, p):
-    """Whether the integer rows in n columns have rank n mod p, which
-    proves rank n over Q (rank_mod).  False proves nothing over Q."""
-    return rank_mod(rows, n, p) == n
-
-
 def rref(rows, ncols):
     """(reduced_rows, pivot_columns) of dense rational rows: the nonzero
     rows of the RREF as tuples of Fractions, with unit pivots."""
@@ -157,7 +151,7 @@ def rank(rows, ncols):
     """Rank of dense rational rows in ncols columns: ncols when the rows
     span mod P, which proves it over Q, and otherwise exactly."""
     ints = [integral(enumerate(row))[0] for row in rows]
-    if spans_mod(ints, ncols, P):
+    if rank_mod(ints, ncols, P) == ncols:
         return ncols
     return len(echelon(ints, 0))
 

@@ -9,8 +9,8 @@ from toricjac import linalg
 from toricjac.cox import poly_from_text
 from toricjac.divisors import canonical_divisor, divisor_from_labels
 from toricjac.jacobian import JacobianSystem
-from toricjac.linalg import (echelon, kernel, primitive, rank, reduce_vector, rref,
-                             spans_mod, subtract_mod)
+from toricjac.linalg import (echelon, kernel, primitive, rank, rank_mod, reduce_vector,
+                             rref, subtract_mod)
 
 from conftest import dense_reduce, integer_row
 
@@ -265,16 +265,16 @@ def dense_rank_mod(mat, ncols, p):
 @PROPERTY
 @given(matrices(), st.sampled_from((2, 3, 5, 2**31 - 1)))
 @example(([[2, 0], [0, 1]], 2), 2)  # full over Q, singular mod 2
-def test_spans_mod_is_full_rank_mod_p_and_then_over_q(matrix, p):
+def test_rank_mod_reaches_n_at_full_rank_mod_p_and_then_over_q(matrix, p):
     mat, ncols = matrix
-    full = spans_mod(integer_rows(mat), ncols, p)
+    full = rank_mod(integer_rows(mat), ncols, p) == ncols
     assert full == (dense_rank_mod(mat, ncols, p) == ncols)
     if full:
         assert rank(mat, ncols) == ncols
 
 
 def test_modular_steps_match_dense_residues():
-    # subtract_mod and primitive(v, lead, p), the steps of spans_mod and of
+    # subtract_mod and primitive(v, lead, p), the steps of rank_mod and of
     # groebner's modular pass, against the same arithmetic column by column
     rng = random.Random(3)
     for p in (2, 3, 5, 7, linalg.P):
@@ -296,13 +296,13 @@ def test_modular_steps_match_dense_residues():
                 assert primitive(u, lead, p) is u
 
 
-def test_spans_mod_false_proves_nothing():
+def test_rank_mod_below_n_proves_nothing():
     rows = [{0: 2}, {1: 1}]
     assert rank([[2, 0], [0, 1]], 2) == 2
-    assert not spans_mod(rows, 2, 2)
-    assert spans_mod(rows, 2, 3)
+    assert rank_mod(rows, 2, 2) == 1
+    assert rank_mod(rows, 2, 3) == 2
     # it stops at the n-th pivot: the rows after it are never read
-    assert spans_mod([{0: 1}, {1: 1}, None], 2, 5)
+    assert rank_mod([{0: 1}, {1: 1}, None], 2, 5) == 2
 
 
 def test_kernel_annihilates_rows():

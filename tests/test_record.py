@@ -9,9 +9,11 @@ import pickle
 
 import pytest
 
+from toricjac.cox import CoxPolynomial
 from toricjac.criterion import (CriterionReport, DeformationSearch, evaluate,
                                 find_rank_g_deformation, trigonal_fixture)
 from toricjac.divisors import PicClass, TorusDivisor, pic_class
+from toricjac.fan import build_hirzebruch
 from toricjac.jacobian import GradedSubspace, JacobianSystem, NondegeneracyVerdict
 
 from conftest import principal_divisor
@@ -65,7 +67,14 @@ def test_subspaces_and_reports_are_equal_by_fields_and_unhashable(d5):
     fields = (search.found, search.rank, search.genus, search.attempts_used, search.seed)
     assert search == DeformationSearch(*fields, search.eta, search.matrix)
     assert search != DeformationSearch(*fields)
-    for value in (a, report, search):
+    # a rerun of the seeded search, and a pickled copy on a new Fan, are
+    # equal: eta compares its terms and the fan's rays and labels
+    assert find_rank_g_deformation(fan, D, trigonal_fixture(5)[2]) == search
+    clone = pickle.loads(pickle.dumps(search))
+    assert clone.eta.fan is not fan and clone == search
+    assert search.eta != CoxPolynomial(build_hirzebruch(2), search.eta.terms)
+    assert search.eta != CoxPolynomial(fan, {})
+    for value in (a, report, search, search.eta):
         with pytest.raises(TypeError, match="unhashable"):
             hash(value)
 
