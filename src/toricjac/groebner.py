@@ -32,9 +32,12 @@ image of Z in Spec Z is closed, so if Z has a point over Q it has one
 over every F_p.  Hence if the h_k mod p give the unit ideal on every
 chart of an affine cover of X, they have no common zero over Q-bar
 (Hartshorne II.4; Arnold, J. Symbolic Comput. 2003).  One chart alone
-proves nothing (p*x - 1 is a unit mod p only), and a chart ideal must be
-the restriction of the h_k read mod p, never divided by a content that p
-may divide.  A "not unit" answer mod p is no evidence either way.
+proves nothing (p*x - 1 is a unit mod p only).  A chart ideal must be
+the restriction of the h_k read mod p, or, for the chart's torus points
+only, integer polynomials whose zeros there contain those of the h_k over
+every F_p, such as (F, F_x, F_y) when the h_k are F and its Euler
+terms; it is never divided by a content that p may divide.  A "not unit" answer mod p is no
+evidence either way.
 """
 
 from fractions import Fraction

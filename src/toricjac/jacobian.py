@@ -358,15 +358,15 @@ class JacobianSystem:
         return self._cached("j1", D, lambda D: GradedSubspace(
             ambient, linalg.echelon(rows, start))).dim
 
-    def _chart(self, i, j, whole):
-        """The Euler terms on the chart of the cone of rays i and j, as
-        {(e_i, e_j): int} polynomials: its axis x_j = 0, or the whole chart
-        with the coordinate of larger maximal exponent in f last."""
+    def _chart(self, i, j, whole, terms=None):
+        """The Euler terms, or terms, on the chart of the cone of rays i and j,
+        as {(e_i, e_j): int} polynomials: its axis x_j = 0, or the whole
+        chart with the coordinate of larger maximal exponent in f last."""
         f = self._integral_f
         if whole and max(e[i] for e in f) > max(e[j] for e in f):
             i, j = j, i
         ideal = []
-        for g in self._integral_terms:
+        for g in terms or self._integral_terms:
             chart = {}
             for e, coeff in g:
                 if whole or not e[j]:
@@ -387,40 +387,52 @@ class JacobianSystem:
         and every other chart can only have one on its axes.  The cones are
         (c, c + 1 mod n), so the axis x_i = 0 of chart c, apart from its
         origin, which is on the axis x_j = 0, is the axis x_j = 0 of chart
-        c - 1 without that chart's origin.  The cover is a cycle: going
-        round it from the whole chart, the axis x_i = 0 of each other chart
-        lies in the whole chart or is checked by the chart before it.  So
-        every other chart only checks the terms free of x_j, an ideal in
-        one variable, where Buchberger's algorithm is Euclid's.  This holds
-        over any algebraically closed field.
+        c - 1 without that chart's origin: the axes x_j = 0 of the n charts
+        cover the boundary.  An axis check keeps the terms free of x_j, an
+        ideal in one variable, where Buchberger's algorithm is Euclid's.
+        This holds over any algebraically closed field.
 
         The Euler terms of f with its denominators cleared cut out a
-        closed subscheme of the toric scheme over Z, which is proper since
-        the fan is complete.  So when every chart is the unit ideal mod P,
-        f is nondegenerate by the lemma of the groebner module; the
-        restrictions only add integer coefficients and are never divided
-        by a content.  Both passes go round the charts in cone order and
-        decide one of them whole: mod P the first on which f has the least
-        total degree, which measured close to the cheapest, and over Q
-        chart 0.  A whole chart has its coordinate of larger exponent in f
-        last in graded lex, the classical rule of ordering variables by
-        degree; swapping the two coordinates is a ring automorphism, which
-        maps the unit ideal to the unit ideal and no other ideal to it, so
-        the order changes the run and never the answer.  One chart can be
-        the unit ideal mod P and not over Q, so once some chart is not the
-        unit ideal mod P the decision is made over Q, and the first
+        closed subscheme Z of the toric scheme X over Z, which is proper
+        since the fan is complete.  The modular pass checks the n axes,
+        then the singular ideal (F, F_x, F_y) of F = den * f on the first
+        chart on which f has the least total degree, which measured close
+        to the cheapest.  When all are the unit ideal mod P, f is
+        nondegenerate by the lemma of the groebner module, for this cover:
+        let z be a Q-point of Z.  A constant f has no Euler terms, so no
+        axis is the unit ideal; otherwise an Euler identity with c_k != 0
+        puts F in the ideal of the Euler terms over Q, and as X is proper z
+        specialises to a point z_P over F_P where the Euler terms and F
+        vanish.  If z_P is in the torus, x F_x = y F_y = F = 0 there with
+        x y != 0, so the singular ideal is not the unit ideal mod P.  If
+        z_P is on a divisor D_rho, it lies on the axis x_j = 0 of some
+        chart, whose check is then not the unit ideal mod P.  No ideal is
+        divided by a content: the derivatives are taken term by term.
+
+        A whole chart has its coordinate of larger exponent in f last in
+        graded lex, the classical rule of ordering variables by degree;
+        swapping the two coordinates is a ring automorphism, which maps the
+        unit ideal to the unit ideal and no other ideal to it, so the order
+        changes the run and never the answer.  A check can be the unit
+        ideal mod P and not over Q, and the singular ideal need not be the
+        unit ideal for a nondegenerate f, so once some check is not the
+        unit ideal mod P the decision is made over Q: chart 0 whole on the
+        Euler terms, then the axis of every later chart, and the first
         degenerate chart is the witness.
         """
         cones = self.fan.maximal_cones
-        degrees = [max(e[i] + e[j] for e in self._integral_f) for i, j in cones]
-        for p, whole in ((P, degrees.index(min(degrees))), (None, 0)):
-            for c, (i, j) in enumerate(cones):
-                if not is_unit_ideal(self._chart(i, j, c == whole), p):
-                    break
-            else:
-                return NondegeneracyVerdict("nondegenerate")
-        witness = f"chart {c}: cone ({self.fan.labels[i]}, {self.fan.labels[j]})"
-        return NondegeneracyVerdict("degenerate", witness=witness)
+        start = min(cones, key=lambda cone: max(e[cone[0]] + e[cone[1]] for e in self._integral_f))
+        (F,) = self._chart(*start, True, [self._integral_f.items()])
+        singular = [F, {(a - 1, b): a * c for (a, b), c in F.items() if a},
+                    {(a, b - 1): b * c for (a, b), c in F.items() if b}]
+        if (all(is_unit_ideal(self._chart(i, j, False), P) for i, j in cones)
+                and is_unit_ideal(singular, P)):
+            return NondegeneracyVerdict("nondegenerate")
+        for c, (i, j) in enumerate(cones):
+            if not is_unit_ideal(self._chart(i, j, c == 0)):
+                witness = f"chart {c}: cone ({self.fan.labels[i]}, {self.fan.labels[j]})"
+                return NondegeneracyVerdict("degenerate", witness=witness)
+        return NondegeneracyVerdict("nondegenerate")
 
     def saturation_certificate(self, k_max=8):
         """Nondegeneracy certificate by irrelevant-ideal powers.

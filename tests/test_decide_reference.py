@@ -2,16 +2,17 @@
 
 The reference below is the Buchberger engine as it stood before its lead
 terms were cached and its pairs queued on a heap, and the decision that
-ran it on the whole ideal of every chart.  The library now runs
-Buchberger's algorithm on the whole ideal of one chart only, and on one
-boundary ideal, in one variable, of every other chart, stopping at the
-first constant.  It runs these checks modulo a prime P first, with the
-least-degree chart whole, and falls back to the integers, with the first
-chart whole, when some chart is not the unit ideal mod P; a whole chart
-always has its coordinates ordered by degree.  Both must give the same
-status and the same witness at every P, and the engine the same
-unit-ideal verdicts.  The reference's reduced bases also serve as the
-Groebner bases of tests/test_groebner.py.
+ran it on the whole ideal of every chart.  The library stops
+Buchberger's algorithm at the first constant.  Modulo a prime P it first
+checks one boundary ideal, in one variable, of every chart, then decides
+the torus on the singular ideal (F, F_x, F_y) of f on the least-degree
+chart.  When some check is not the unit ideal mod P it falls back to the
+integers: the Euler terms on the first chart whole, then the boundary
+ideal of every later chart.  A whole chart always has its coordinates
+ordered by degree.  Both must give the same status and the same witness
+at every P, and the engine the same unit-ideal verdicts.  The
+reference's reduced bases also serve as the Groebner bases of
+tests/test_groebner.py.
 """
 
 import itertools
@@ -438,36 +439,117 @@ def test_moved_start_chart_matches_reference(monkeypatch):
             assert decide(sys_) == ref, (prime, sys_.fan.rays, sys_.f.to_text())
 
 
-def test_modular_pass_runs_buchberger_on_the_cheapest_oriented_chart(monkeypatch):
-    # The one bivariate ideal of the modular pass: chart 2 with its
-    # coordinates swapped on the generic hirzebruch:1 (7,3) section, where
-    # f has degree 7 against 10 on charts 0 and 1 and exponents up to 7 in
-    # x3 against 3 in x4; chart 0 as it is on p1xp1 (4,4), where every
-    # chart and coordinate ties.
-    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    import workloads
+def singular_ideal(sys_, c, swap):
+    """[F, F_x, F_y] of an f with integer coefficients on the whole chart
+    c, its coordinates exchanged when swap."""
+    i, j = sys_.fan.maximal_cones[c]
+    if swap:
+        i, j = j, i
+    F = {(e[i], e[j]): int(x) for e, x in sys_.f.terms.items()}
+    return [F, {(a - 1, b): a * x for (a, b), x in F.items() if a},
+            {(a, b - 1): b * x for (a, b), x in F.items() if b}]
 
-    seen = []
+
+def modular_runs(monkeypatch):
+    """(ideal, bivariate, unit) of each check the decision runs mod a
+    prime, in order."""
+    runs = []
     real = jacobian.is_unit_ideal
 
     def spy(polys, p=None):
-        if p is not None and any(b for g in polys for _, b in g):
-            seen.append(polys)
-        return real(polys, p)
+        unit = real(polys, p)
+        if p is not None:
+            runs.append((polys, any(b for g in polys for _, b in g), unit))
+        return unit
 
     monkeypatch.setattr(jacobian, "is_unit_ideal", spy)
+    return runs
+
+
+def test_modular_pass_runs_buchberger_on_the_cheapest_oriented_chart(monkeypatch):
+    # The one bivariate ideal of the modular pass, the singular ideal
+    # [F, F_x, F_y] of f: on chart 2 with its coordinates swapped on the
+    # generic hirzebruch:1 (7,3) section, where f has degree 7 against 10
+    # on charts 0 and 1 and exponents up to 7 in x3 against 3 in x4; on
+    # chart 0 as it is on p1xp1 (4,4), where every chart and coordinate
+    # ties.  Every other check is an axis, in one variable.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    runs = modular_runs(monkeypatch)
     ops = dict((argv[2], argv[6]) for _, argv in
                workloads.generic_ops("criterion", workloads.CRITERION_SECTIONS, 1, False))
     for surface, chart, swap in (("hirzebruch:1", 2, True), ("p1xp1", 0, False)):
         fan = builtin_surface(surface)
         sys_ = JacobianSystem(fan, poly_from_text(fan, ops[surface]))
-        del seen[:]
+        del runs[:]
         assert decide(sys_) == ("nondegenerate", None)
-        want = list(ref_charts(sys_))[chart]
-        if swap:
-            want = swapped(want)
+        want = singular_ideal(sys_, chart, swap)
+        seen = [polys for polys, bivariate, _ in runs if bivariate]
         assert len(seen) == 1, surface
         assert [to_int_poly(g) for g in seen[0]] == [to_int_poly(g) for g in want], surface
+
+
+# p1xp1 (3,3), whose start chart is chart 0, and hirzebruch:1 (4,2), chart 2 swapped
+START_CASES = DENSE[1:3]
+
+
+def torus_node_systems(cases=START_CASES, seed=5):
+    """Dense sections with a node at the point (1, ..., 1) of the torus.
+
+    On chart 0, (x, y) = (x_i, x_j), three coefficients of a dense section
+    are moved so that F(1, 1) = F_x(1, 1) = F_y(1, 1) = 0: those of 1, x
+    and y, which an ample class has at the cone's vertex.
+    """
+    rng = random.Random(seed)
+    coeffs = [k for k in range(-9, 10) if k]
+    for fan, D in cases:
+        i, j = fan.maximal_cones[0]
+        terms = {e: rng.choice(coeffs) for e in monomial_basis(fan, TorusDivisor(D))}
+        at = {(e[i], e[j]): e for e in terms}
+        value = sum(terms.values())
+        dx = sum(e[i] * c for e, c in terms.items())
+        dy = sum(e[j] * c for e, c in terms.items())
+        terms[at[1, 0]] -= dx
+        terms[at[0, 1]] -= dy
+        terms[at[0, 0]] -= value - dx - dy
+        yield JacobianSystem(fan, CoxPolynomial(fan, terms))
+
+
+@pytest.mark.parametrize("prime", [linalg.P, 2, 3])
+def test_start_chart_axes_and_torus_node_match_reference(monkeypatch, prime):
+    # The modular pass decides the torus on the singular ideal of the start
+    # chart and the boundary on the axes of all charts, the start chart's
+    # included.  A boundary section whose double root lies on an axis of
+    # the start chart is tangent to the boundary there but smooth: its
+    # singular ideal is the unit ideal, and only an axis check finds it;
+    # on the axis x_j = 0 of the start chart only the start chart's own
+    # check does.  A node in the torus only the singular ideal finds.
+    boundary, axes = [], set()
+    for sys_, want, place in boundary_systems(START_CASES):
+        c, swap = start_chart(sys_)
+        cone = sys_.fan.maximal_cones[c]
+        rho = sys_.fan.maximal_cones[int(want[1].split(":")[0].split()[1])][place]
+        if rho in cone:
+            axes.add((sys_.fan.rays, cone.index(rho)))
+            assert is_unit_ideal(singular_ideal(sys_, c, swap), linalg.P)
+            boundary.append((sys_, want))
+    assert len(axes) == 4  # both axes of the start chart, on both surfaces
+    nodes = list(torus_node_systems()) + list(itertools.islice(nodal_systems(), 0, None, 9))
+    nodes = [(sys_, ref_decide(sys_)) for sys_ in nodes]
+    assert all(ref[0] == "degenerate" for _, ref in nodes)
+    runs = modular_runs(monkeypatch)
+    monkeypatch.setattr(jacobian, "P", prime)
+    for sys_, want in boundary:
+        del runs[:]
+        assert decide(sys_) == ref_decide(sys_) == want, (prime, sys_.f.to_text())
+        if prime == linalg.P:  # an axis fails, and the singular ideal never runs
+            assert not runs[-1][2] and not any(bivariate for _, bivariate, _ in runs)
+    for sys_, ref in nodes:
+        del runs[:]
+        assert decide(sys_) == ref, (prime, sys_.f.to_text())
+        if prime == linalg.P:  # every axis is the unit ideal, the singular ideal not
+            assert [run[1:] for run in runs] == [(False, True)] * (len(runs) - 1) + [(True, False)]
 
 
 @pytest.mark.parametrize("prime", [2, 3])
