@@ -80,32 +80,25 @@ def _divisor_from_class_arg(fan, surface, text):
     return representative(fan, PicClass(tuple(vec), fan.basis_id))
 
 
-_CLASS_TERM = re.compile(r"([+-]?)(\d*)(beta|K)")
+# compiled by re on first use: one term, and terms each signed after the first
+_CLASS_TERM = r"([+-]?)(\d*)(beta|K)"
+_CLASS_EXPR = r"[+-]?\d*(beta|K)([+-]\d*(beta|K))*"
 
 
 def _resolve_class_of(expr, beta_div, K_div):
     text = expr.replace("β", "beta").replace(" ", "").replace("*", "")
-    pos = s = t = 0
-    while True:  # at least one term, so a blank expression is refused
-        m = _CLASS_TERM.match(text, pos)
-        if not m or (pos and not m.group(1)):
-            raise InputError(f"cannot parse class expression {expr!r}; "
-                             "expected terms like 2beta+2K")
-        sign = -1 if m.group(1) == "-" else 1
-        coeff = sign * (int(m.group(2)) if m.group(2) else 1)
-        if m.group(3) == "beta":
-            s += coeff
-        else:
-            t += coeff
-        pos = m.end()
-        if pos == len(text):
-            break
-    if s and beta_div is None:
+    if not re.fullmatch(_CLASS_EXPR, text):  # at least one term: a blank is refused
+        raise InputError(f"cannot parse class expression {expr!r}; "
+                         "expected terms like 2beta+2K")
+    coeff = {"beta": 0, "K": 0}
+    for sign, digits, name in re.findall(_CLASS_TERM, text):
+        coeff[name] += int(sign + (digits or "1"))
+    if coeff["beta"] and beta_div is None:
         raise InputError("the class expression mentions beta but no beta is "
                          "available; give --class or --poly")
-    out = t * K_div
-    if s:
-        out = out + s * beta_div
+    out = coeff["K"] * K_div
+    if coeff["beta"]:
+        out = out + coeff["beta"] * beta_div
     return out
 
 

@@ -53,8 +53,7 @@ class PicClass(Value):
     __slots__ = _fields = ("vec", "basis_id")
 
     def __init__(self, vec, basis_id):
-        object.__setattr__(self, "vec", _int_tuple(vec, "Picard class"))
-        object.__setattr__(self, "basis_id", basis_id)
+        self._set(_int_tuple(vec, "Picard class"), basis_id)
 
 
 def _check_len(fan, D):

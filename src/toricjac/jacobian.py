@@ -106,8 +106,7 @@ class GradedSubspace(Value):
     _fields = ("ambient", "basis")  # no __slots__: cached_property needs __dict__
 
     def __init__(self, ambient, basis):
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis", basis)
+        self._set(ambient, basis)
 
     @classmethod
     def full(cls, ambient):
@@ -170,9 +169,7 @@ class NondegeneracyVerdict(Value):
     __slots__ = _fields = ("status", "k", "witness")
 
     def __init__(self, status, k=None, witness=None):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "witness", witness)
+        self._set(status, k, witness)
 
     @property
     def label(self):
@@ -447,22 +444,21 @@ class JacobianSystem:
 
         Each power is tested by Picard class: its products grouped by
         class, the classes in increasing Riemann-Roch chi(D) = 1 +
-        D.(D - K)/2 (ties by class vector), the products of a class in
-        exponent order.  The test of a power is still all() over the same
-        products, so the order cannot change whether a power passes, and
-        the least certifying k and the label are those of any order.  It
-        only changes the work: a failing power is refuted on one of its
-        smallest classes, and a small full class proved by the rank test
-        starts closure for the larger ones.  Closure is read once per
-        class before anything is listed, so a class it proves full is
+        D.(D - K)/2 (ties by class vector).  The test of a power is still
+        all() over the same products, so the order cannot change whether a
+        power passes, and the least certifying k and the label are those of
+        any order.  It only changes the work: a failing power is refuted on
+        one of its smallest classes, and a small full class proved by the
+        rank test starts closure for the larger ones.  Closure is read once
+        per class before anything is listed, so a class it proves full is
         never listed and no piece is built for it.
         """
         check_k_max(self.fan, k_max)
         fan = self.fan
         gens = fan.irrelevant_generators()
         # exponents in mixed radix, the first most significant: a product is
-        # the sum of its factors' codes, and integer order is tuple order;
-        # its class is the sum of its factors' classes
+        # the sum of its factors' codes, and its class is the sum of its
+        # factors' classes
         radix = [k_max * max(g[i] for g in gens) + 1 for i in range(fan.n)]
         weights = [prod(radix[i + 1:]) for i in range(fan.n)]
         steps = [(sum(map(mul, g, weights)), class_vec(fan, g)) for g in gens]
@@ -477,11 +473,10 @@ class JacobianSystem:
             products = {p + c: tuple(map(add, v, w))
                         for p, v in products.items() for c, w in steps}
             classes = {}
-            for p in sorted(products):
-                classes.setdefault(products[p], []).append(p)
-            order = sorted(classes, key=chi_order) if len(classes) > 1 else classes
-            if all(self._in_j0(v, [self._decode(p, weights) for p in classes[v]])
-                   for v in order):
+            for p, v in products.items():
+                classes.setdefault(v, []).append(p)
+            if all(self._in_j0([self._decode(p, weights) for p in classes[v]])
+                   for v in sorted(classes, key=chi_order)):
                 return NondegeneracyVerdict("certified", k=k)
         return NondegeneracyVerdict("undetermined", k=k_max)
 
@@ -494,18 +489,16 @@ class JacobianSystem:
             e.append(x)
         return tuple(e)
 
-    def _in_j0(self, v, monomials):
-        """Whether every x^e, e in monomials, of class v lies in J0, read
-        once per class: a cached True when closure proves J0 full there,
-        else the cached J0 piece.  In its reduced echelon basis x^e is a
-        member exactly when the column of e is a pivot whose row is that
-        unit vector."""
-        key = ("closure or j0", v)
-        t = self._cache.get(key)
-        if t is None:
-            D = TorusDivisor(monomials[0])
-            t = self._cache[key] = self._closed(D) or self.j0_piece(D)
-        return t is True or all(len(t.basis.get(t.columns[e], ())) == 1 for e in monomials)
+    def _in_j0(self, monomials):
+        """Whether every x^e, e in monomials, of one class lies in J0: true
+        when closure proves J0 full there, else read from the cached J0
+        piece.  In its reduced echelon basis x^e is a member exactly when
+        the column of e is a pivot whose row is that unit vector."""
+        D = TorusDivisor(monomials[0])
+        if self._closed(D):
+            return True
+        piece = self.j0_piece(D)
+        return all(len(piece.basis.get(piece.columns[e], ())) == 1 for e in monomials)
 
     def multiplication_matrix(self, eta, D_from, D_to):
         """Matrix of multiplication by eta between quotient coset bases."""

@@ -9,9 +9,10 @@ class Record:
     __slots__ = ()
 
     def _set(self, *values):
-        """Set the fields, in the order of _fields."""
+        """Set the fields, in the order of _fields, past a Value's refusal
+        of assignment."""
         for name, value in zip(self._fields, values, strict=True):
-            setattr(self, name, value)
+            object.__setattr__(self, name, value)
 
     @property
     def _shown(self):
@@ -32,9 +33,10 @@ class Record:
 
 class Value(Record):
     """An immutable record, hashed by its fields.  Assignment raises
-    AttributeError, so __init__ sets the fields with object.__setattr__,
-    and a copy or pickle is rebuilt by the constructor from the fields in
-    order."""
+    AttributeError, so __init__ sets the fields with _set (TorusDivisor,
+    the most often built value, writes its one field with
+    object.__setattr__ and skips the call), and a copy or pickle is rebuilt
+    by the constructor from the fields in order."""
 
     __slots__ = ()
 

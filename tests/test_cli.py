@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -11,8 +12,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from toricjac import criterion, divisors, jacobian, linalg
+from toricjac import cli, criterion, divisors, jacobian, linalg
 from toricjac.divisors import canonical_divisor, pic_class
+from toricjac.errors import InputError
 from toricjac.jacobian import JacobianSystem
 
 import conftest
@@ -184,6 +186,67 @@ def test_class_of_needs_sign_between_terms():
             ["hilbert", "--poly", TRIGONAL_D5, "--class-of", expr] + H1)
         assert code == 2 and out == ""
         assert err.startswith("error: cannot parse class expression")
+
+
+_TERM = re.compile(r"([+-]?)(\d*)(beta|K)")
+
+
+def _term_loop_class_of(expr, beta_div, K_div):
+    # a parser that matches one term at a time: the oracle of the test below
+    text = expr.replace("β", "beta").replace(" ", "").replace("*", "")
+    pos = s = t = 0
+    while True:
+        m = _TERM.match(text, pos)
+        if not m or (pos and not m.group(1)):
+            raise InputError(f"cannot parse class expression {expr!r}; "
+                             "expected terms like 2beta+2K")
+        sign = -1 if m.group(1) == "-" else 1
+        coeff = sign * (int(m.group(2)) if m.group(2) else 1)
+        if m.group(3) == "beta":
+            s += coeff
+        else:
+            t += coeff
+        pos = m.end()
+        if pos == len(text):
+            break
+    if s and beta_div is None:
+        raise InputError("the class expression mentions beta but no beta is "
+                         "available; give --class or --poly")
+    out = t * K_div
+    if s:
+        out = out + s * beta_div
+    return out
+
+
+def _outcome(resolve, *args):
+    try:
+        return resolve(*args)
+    except InputError as e:
+        return str(e)
+
+
+def test_class_of_parser_matches_the_term_loop():
+    # seeded expressions over the class terms, their pieces and junk; the
+    # whole-text match must accept exactly what the term loop accepts, with
+    # the same classes and the same messages
+    rng = random.Random("class-of")
+    junk = ("b", "eta", "k", "x", ".", "gamma", "+", "-", "*", " ", "K", "2", "β")
+    beta, K = divisors.TorusDivisor((1, 0)), divisors.TorusDivisor((0, 1))
+    accepted = 0
+    for _ in range(3000):
+        pieces = [rng.choice(("", "+", "-", " - "))
+                  + rng.choice(("", "", "2", "0", "10", "3*", " 2 * "))
+                  + rng.choice(("beta", "β", "K", "K ")) for _ in range(rng.randint(0, 4))]
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            pieces.insert(rng.randint(0, len(pieces)), rng.choice(junk))
+        expr = "".join(pieces)
+        want = _outcome(_term_loop_class_of, expr, beta, K)
+        assert _outcome(cli._resolve_class_of, expr, beta, K) == want, expr
+        accepted += not isinstance(want, str)
+        # with no beta a beta term is refused, with its own message
+        assert (_outcome(cli._resolve_class_of, expr, None, K)
+                == _outcome(_term_loop_class_of, expr, None, K)), expr
+    assert 300 < accepted < 2700, accepted
 
 
 def test_class_of_only_on_commands_that_read_it():

@@ -647,6 +647,8 @@ def test_closure_proved_classes_are_never_listed(h1, monkeypatch, proofs):
     assert len(closed) == 6
     assert not listed.keys() & set(closed), listed
     assert set(listed.values()) == {1}
+    # membership reads the engine's own caches, and keeps none of its own
+    assert {kind for kind, _ in sys_._cache} == {"basis", "j0"}
 
 
 def test_closure_starts_only_from_a_nef_class(proofs):
