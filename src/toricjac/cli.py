@@ -324,7 +324,10 @@ def run(args):
     """Execute parsed arguments; returns the process exit code."""
     try:
         payload, text = args.run(args)
-    except InputError as e:
+    except ValueError as e:
+        # an InputError, or an input number longer than int()'s digit limit
+        if not isinstance(e, InputError) and "string conversion: value has" not in str(e):
+            raise
         print(f"error: {e}", file=sys.stderr)
         return 2
     except InternalError as e:

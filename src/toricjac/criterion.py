@@ -92,16 +92,21 @@ def _evaluate(fan, D_beta, f, mode):
         raise InputError("f is not homogeneous of the class of the given divisor")
     K = canonical_divisor(fan)
 
-    s_beta = sys.section_dim(D_beta)
-    s_beta_k = sys.section_dim(D_beta + K)
-    s_beta_2k = sys.section_dim(D_beta + 2 * K)
-    s_2beta_2k = sys.section_dim(2 * D_beta + 2 * K)
-    j1_beta = sys.j1_dim(D_beta)
-    j1_2beta_2k = sys.j1_dim(2 * D_beta + 2 * K)
+    dims = {
+        "S_beta": sys.section_dim(D_beta),
+        "S_beta_K": sys.section_dim(D_beta + K),
+        "S_beta_2K": sys.section_dim(D_beta + 2 * K),
+        "S_2beta_2K": sys.section_dim(2 * D_beta + 2 * K),
+        "J1_beta": sys.j1_dim(D_beta),
+        "J1_2beta_2K": sys.j1_dim(2 * D_beta + 2 * K),
+    }
+    dims["R1_beta"] = dims["S_beta"] - dims["J1_beta"]
+    # dimension of the span of {a*f + b*g} over sections a, b of beta+2K
+    dims["fg_pencil"] = 2 * dims["S_beta_2K"]
 
     ample = is_ample(fan, D_beta)
     g = genus(fan, D_beta)
-    if ample and g != s_beta_k:
+    if ample and g != dims["S_beta_K"]:
         raise InternalError("adjunction genus disagrees with dim S_{beta+K}")
 
     nd = sys.nondegenerate_decide()
@@ -113,7 +118,7 @@ def _evaluate(fan, D_beta, f, mode):
     pre = {
         "beta ample": ample,
         "f nondegenerate": nd.is_positive(),
-        "J1_2beta+2K nonzero": j1_2beta_2k > 0,
+        "J1_2beta+2K nonzero": dims["J1_2beta_2K"] > 0,
         "beta.K < 0": bk < 0,
         "beta+K ample": is_ample(fan, D_beta + K),
         "beta+2K ample": is_ample(fan, D_beta + 2 * K),
@@ -123,27 +128,16 @@ def _evaluate(fan, D_beta, f, mode):
         required += ["beta+K ample", "beta+2K ample"]
     failed = tuple(name for name in required if not pre[name])
 
-    bound = j1_beta + s_2beta_2k - s_beta - 2 * s_beta_2k
+    bound = dims["J1_beta"] + dims["S_2beta_2K"] - dims["S_beta"] - 2 * dims["S_beta_2K"]
     threshold = k_sq + 1
 
     if failed:
         verdict = "precondition_failed"
     elif mode == "quick":
-        verdict = "certified" if j1_beta <= threshold else "inconclusive"
+        verdict = "certified" if dims["J1_beta"] <= threshold else "inconclusive"
     else:
         verdict = "certified" if bound < g - 1 else "inconclusive"
 
-    dims = {
-        "S_beta": s_beta,
-        "S_beta_K": s_beta_k,
-        "S_beta_2K": s_beta_2k,
-        "S_2beta_2K": s_2beta_2k,
-        "J1_beta": j1_beta,
-        "J1_2beta_2K": j1_2beta_2k,
-        "R1_beta": s_beta - j1_beta,
-        # dimension of the span of {a*f + b*g} over sections a, b of beta+2K
-        "fg_pencil": 2 * s_beta_2k,
-    }
     return CriterionReport(
         mode=mode,
         surface=fan.to_json(),

@@ -26,13 +26,13 @@ all products span, and every piece, which depends only on that span, is
 unchanged.  Mod P a dropped row can leave the span only when P divides
 c; then the rank test fails and the exact route decides.
 
-Both ideals are read by one builder, JacobianSystem._piece(D, T, shift):
-J0 at class(T) in the coordinates of S_D, through multiplication by
-x^shift, x = prod x_rho.  J0 at D is the piece (D, D, 0).  Multiplication
+Both ideals are read through one helper, JacobianSystem._unproved(D, T,
+shift): J0 at class(T) in the coordinates of S_D, through multiplication
+by x^shift, x = prod x_rho.  J0 at D is the piece (D, D, 0).  Multiplication
 by x maps S_D injectively onto the span C of the monomials of class
 D - K that every variable divides, so x * J1_D = J0_{D-K} ∩ C, and J1 at
 D is the piece (D, D - K, 1).  When J0 is all of S_T, the piece is all
-of S_D.  The builder tries, in this order:
+of S_D.  The helper tries, in this order:
 
 - closure, which needs no row: if T0 and T - T0 are nef and J0 is all of
   S_T0, the ideal J0 contains S_T0 * S_{T-T0} = S_T.  For nef classes the
@@ -48,9 +48,9 @@ of S_D.  The builder tries, in this order:
   every maximal minor of a full piece.
 
 The commands that print only dim J1_D read it from j1_dim, which takes
-the builder's steps for J1 at D through the same helper, _unproved, but
-tries two bounds mod P before the elimination (a rank mod P is at most
-the rank over Q, linalg.rank_mod).
+the same steps for J1 at D through _unproved, but tries two bounds mod P
+before the elimination (a rank mod P is at most the rank over Q,
+linalg.rank_mod).
 Let R be the rows of the J1 piece (at D - K, the monomials outside C
 first) and R_out those rows cut to the columns outside C.  Then
 dim J1_D = rank R - rank R_out <= #R - rank_P R_out, and dim J1_D <=
@@ -107,11 +107,6 @@ class GradedSubspace(Value):
 
     def __init__(self, ambient, basis):
         self._set(ambient, basis)
-
-    @classmethod
-    def full(cls, ambient):
-        """The whole piece, with the basis echelon returns for it."""
-        return cls(ambient, {k: {k: 1} for k in range(len(ambient))})
 
     @property
     def dim(self):
@@ -282,14 +277,12 @@ class JacobianSystem:
         """Whether closure proves J0 all of S_T (module docstring)."""
         return any(is_nef(self.fan, T - T0) for T0 in self._full_nef)
 
-    def _piece(self, D, T, shift):
-        """J0 at class(T) in the coordinates of S_D, through multiplication
-        by prod x_rho^shift: closure, the rank test, or one elimination
-        (module docstring).  A piece of shift 0 is written over its own
-        monomials."""
-        ambient, rows, start = self._unproved(D, T, shift)
+    @staticmethod
+    def _piece(ambient, rows, start):
+        """The piece of an _unproved triple: all of S_D, with the basis echelon
+        returns for it, when rows is None, else the echelon basis of the rows."""
         if rows is None:
-            return GradedSubspace.full(ambient)
+            return GradedSubspace(ambient, {k: {k: 1} for k in range(len(ambient))})
         return GradedSubspace(ambient, linalg.echelon(rows, start))
 
     def _unproved(self, D, T, shift):
@@ -322,26 +315,23 @@ class JacobianSystem:
 
     def j0_piece(self, D):
         """Graded piece of the Euler-term ideal at class(D)."""
-        return self._cached("j0", D, lambda D: self._piece(D, D, 0))
+        return self._cached("j0", D, lambda D: self._piece(*self._unproved(D, D, 0)))
 
     def j1_piece(self, D):
         """Graded piece at class(D) of J0 : (prod x_rho), read from J0 at
         class(D) - class(K) (module docstring)."""
         return self._cached("j1", D, lambda D: self._piece(
-            D, D - canonical_divisor(self.fan), 1))
+            *self._unproved(D, D - canonical_divisor(self.fan), 1)))
 
     def j1_dim(self, D):
-        """dim J1 at class(D): that of a built j1_piece, else the steps of
-        j1_piece with the two bounds mod P, and the upper bound's exact case
-        of independent rows (module docstring), tried before the
-        elimination, whose piece is then kept as j1_piece's."""
+        """dim J1 at class(D): the steps of j1_piece with the two bounds
+        mod P, and the upper bound's exact case of independent rows (module
+        docstring), tried before the elimination, whose piece is then kept
+        as j1_piece's."""
         return self._cached("j1 dim", D, self._j1_dim)
 
     def _j1_dim(self, D):
-        piece = self._cache.get(("j1", pic_class(self.fan, D).vec))
-        if piece is not None:
-            return piece.dim
-        ambient, rows, start = self._unproved(D, D - canonical_divisor(self.fan), 1)
+        unproved = ambient, rows, start = self._unproved(D, D - canonical_divisor(self.fan), 1)
         if rows is None:
             return len(ambient)
         outside = [{c: x for c, x in v.items() if c < start} for v in rows]
@@ -352,8 +342,7 @@ class JacobianSystem:
         if (outside_rank == start and len(rows) < start + len(ambient)
                 and self._rank_mod(rows, len(rows)) == len(rows)):
             return upper  # independent rows: the upper bound is exact
-        return self._cached("j1", D, lambda D: GradedSubspace(
-            ambient, linalg.echelon(rows, start))).dim
+        return self._cached("j1", D, lambda D: self._piece(*unproved)).dim
 
     def _chart(self, i, j, whole, terms=None):
         """The Euler terms, or terms, on the chart of the cone of rays i and j,

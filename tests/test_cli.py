@@ -802,6 +802,38 @@ def test_a_file_that_is_not_utf8_exits_2(tmp_path, argv, what):
                "0xff in position 0: invalid start byte\n")
 
 
+@pytest.mark.parametrize("where", ["class-of", "exponent", "coefficient", "denominator",
+                                   "poly-file", "fan-file"])
+def test_a_number_past_the_int_digit_limit_exits_2(tmp_path, where):
+    # int() refuses a string of more digits than the interpreter's limit
+    # (PYTHONINTMAXSTRDIGITS); that is invalid input, not an internal error
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("int() has no digit limit in this interpreter")
+    n = "9" * (limit + 1)
+    path = tmp_path / "input.json"
+    path.write_text({"poly-file": '{"terms": [{"exps": [1, 1, 0, 0], "coeff": %s}]}' % n,
+                     "fan-file": '{"rays": [[1, 0], [0, 1], [-1, %s]]}' % n}.get(where, ""))
+    argv = {
+        "class-of": ["hilbert", "--poly", TRIGONAL_D5, f"--class-of={n}K"] + H1,
+        "exponent": ["nondegenerate", "--surface", "p1xp1", "--poly", f"x1^{n}*x2"],
+        "coefficient": ["nondegenerate", "--surface", "p1xp1", "--poly", f"{n}*x1*x2"],
+        "denominator": ["nondegenerate", "--surface", "p1xp1", "--poly", f"1/{n}*x1*x2"],
+        "poly-file": ["nondegenerate", "--surface", "p1xp1", "--poly-file", str(path)],
+        "fan-file": ["describe-surface", "--fan-file", str(path)],
+    }[where]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "") and err.startswith("error:"), err
+
+
+def test_other_value_errors_are_not_input_errors():
+    def broken(args):
+        raise ValueError("not an input problem")
+
+    with pytest.raises(ValueError, match="not an input problem"):
+        cli.run(SimpleNamespace(run=broken, json_out=False))
+
+
 def test_exponents_of_2_to_the_32_are_refused():
     # the chart decision codes x^i y^j as (i + j) * 2**32 + i; one exponent
     # more and it would run on codes out of graded lex order

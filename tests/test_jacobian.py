@@ -456,6 +456,40 @@ def test_pieces_are_cached_by_class(h1, monkeypatch):
     assert len(calls) == 2
 
 
+# a p2 quartic whose j1_dim eliminates at 3beta + 2K: the bounds mod P
+# miss there and the rows are dependent
+P2_QUARTIC = ("3*x1^4 + 3*x1^3*x2 + 3*x1^3*x3 - 3*x1^2*x2^2 + x1^2*x2*x3 - 3*x1^2*x3^2"
+              " - 3*x1*x2^3 + 3*x1*x2^2*x3 - 3*x1*x2*x3^2 - x1*x3^3 - 2*x2^4 + 2*x2^3*x3"
+              " + x2^2*x3^2 - x2*x3^3 - x3^4")
+
+
+@pytest.mark.parametrize("dim_first", [True, False], ids=["dim-then-piece", "piece-then-dim"])
+def test_j1_dim_and_j1_piece_share_one_elimination(monkeypatch, dim_first):
+    # the elimination j1_dim runs is kept as j1_piece's, and j1_dim reads a
+    # built piece through the cache, so either order eliminates once
+    p2 = builtin_surface("p2")
+    sys_ = JacobianSystem(p2, poly_from_text(p2, P2_QUARTIC))
+    D = 3 * sys_.beta_divisor + 2 * canonical_divisor(p2)
+    calls = []
+    echelon = linalg.echelon
+
+    def counted(rows, start):
+        calls.append(start)
+        return echelon(rows, start)
+
+    monkeypatch.setattr(linalg, "echelon", counted)
+    if dim_first:
+        dim = sys_.j1_dim(D)
+        assert ("j1", pic_class(p2, D).vec) in sys_._cache
+        piece = sys_.j1_piece(D)
+    else:
+        piece = sys_.j1_piece(D)
+        dim = sys_.j1_dim(D)
+    assert len(calls) == 1
+    assert sys_.j1_piece(D) is piece
+    assert dim == piece.dim == j1_dim_brute(sys_, D) == 27
+
+
 def test_j1_piece_equals_rref_then_slice(battery, generic_systems):
     # the commands read J1 at beta, beta + K, 2beta + K and 2beta + 2K; the
     # battery also checks the top class 3beta + 2K
@@ -489,7 +523,7 @@ def proofs(monkeypatch):
     """The full-piece proofs taken while the test runs: ("rank", n) for a
     rank test that proves a piece of n monomials full, ("closure", class)
     for closure at a class.  A proof in the piece builder makes the piece
-    GradedSubspace.full; a closure proof in the saturation certificate
+    all of its ambient; a closure proof in the saturation certificate
     answers for its class with no piece."""
     proved = []
     proved_full, closed = JacobianSystem._proved_full, JacobianSystem._closed
