@@ -216,9 +216,9 @@ def _cmd_hilbert(args):
         raise InputError("hilbert needs the section f (--poly or --poly-file)")
     sys_ = JacobianSystem(fan, f)
     s_dim = sys_.section_dim(D)
-    # only the dump needs the piece; j1_dim then reads its dimension
+    # only the dump needs the piece, and then its dimension is dim J1
     piece = sys_.j1_piece(D) if args.dump_subspaces else None
-    j1_dim = sys_.j1_dim(D)
+    j1_dim = piece.dim if piece is not None else sys_.j1_dim(D)
     payload = {
         "divisor": list(D.coeffs),
         "class": list(pic_class(fan, D).vec),
@@ -325,7 +325,9 @@ def run(args):
     try:
         payload, text = args.run(args)
     except ValueError as e:
-        # an InputError, or an input number longer than int()'s digit limit
+        # an InputError, or a number past int()'s digit limit, which CPython marks
+        # only by this text (its int-to-str error lacks "value has" and stays
+        # internal); test_a_number_past_the_int_digit_limit_exits_2 guards it
         if not isinstance(e, InputError) and "string conversion: value has" not in str(e):
             raise
         print(f"error: {e}", file=sys.stderr)

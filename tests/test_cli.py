@@ -140,6 +140,19 @@ def test_hilbert_class_of():
     ]
 
 
+@pytest.mark.parametrize("class_of", ["beta", "2beta+2K", "3beta+2K"])
+def test_hilbert_dump_takes_dim_j1_from_its_piece(monkeypatch, class_of):
+    # the dumped piece already holds dim J1, so the J1 bounds run once
+    calls = []
+    unproved = JacobianSystem._unproved
+    monkeypatch.setattr(JacobianSystem, "_unproved",
+                        lambda self, *a: calls.append(a) or unproved(self, *a))
+    code, _, _ = run_cli(["hilbert", "--poly", TRIGONAL_D5, "--class-of", class_of,
+                          "--dump-subspaces"] + H1)
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_class_of_spellings_agree():
     base = run_cli(
         ["hilbert", "--poly", TRIGONAL_D5, "--class-of", "2beta+2K"] + H1)
@@ -807,7 +820,7 @@ def test_a_file_that_is_not_utf8_exits_2(tmp_path, argv, what):
 def test_a_number_past_the_int_digit_limit_exits_2(tmp_path, where):
     # int() refuses a string of more digits than the interpreter's limit
     # (PYTHONINTMAXSTRDIGITS); that is invalid input, not an internal error
-    limit = sys.get_int_max_str_digits()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
         pytest.skip("int() has no digit limit in this interpreter")
     n = "9" * (limit + 1)
